@@ -36,7 +36,8 @@ test:
 # streaming source feeding it (flowsource bounded channels, storage retention
 # rings it races against), the concurrent epoch-export pipeline, the pooled
 # hierarchy rollup and the multi-level federation fleet (leaf ingest racing
-# rollups, re-ship racing EndEpoch at aggregator hops), the segmented FlowDB
+# rollups, re-ship racing EndEpoch at aggregator hops) with the export hop
+# they share (internal/uplink: Export racing Retry), the segmented FlowDB
 # (parallel Select merges racing the export writer) with the FlowQL layer
 # above it, the durable tier (WAL appends racing epoch seals, spill stores
 # racing re-export), and the primitives they drive are the packages with
@@ -47,7 +48,7 @@ test-race:
 		./internal/storage/disk/ ./internal/storage/diskio/ \
 		./internal/flowdb/ ./internal/flowql/ \
 		./internal/flowtree/ ./internal/primitive/ \
-		./internal/hierarchy/ ./internal/federation/ .
+		./internal/hierarchy/ ./internal/federation/ ./internal/uplink/ .
 
 # Hot-path benchmarks: the sort-based bulk fold vs its heap baseline, bulk
 # ingest, structural clone, the streaming source vs the pre-materialized

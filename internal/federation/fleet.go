@@ -1,21 +1,20 @@
 // fleet.go implements the scale-out export side of the federation: a
 // multi-level tree of sites (leaf -> regional aggregator -> central) where
-// every hop runs the same bounded-worker epoch export pipeline as the flat
-// flowstream path. Each node seals its open-epoch Flowtree, re-compresses
-// to its own node budget, encodes the summary (full v2 or v3 delta frame
-// against the previous frame on its uplink) and ships it one hop up over
-// the metered simnet WAN. Transient link failures queue frames on the
-// sending node; re-shipment preserves per-uplink stream order, which is
-// the invariant delta chains decode under. The central site indexes every
-// delivered top-level frame in a FlowDB.
+// every hop is the same internal/uplink export hop as the flat flowstream
+// path, driven level by level through a bounded worker pool. Each node
+// seals its open-epoch Flowtree, re-compresses to its own node budget and
+// hands the summary to its uplink, which encodes it (full v2 or v3 delta
+// frame), ships it one hop up over the metered simnet WAN and queues,
+// spills or drops what the link leaves behind. This file supplies what is
+// specific to a fleet hop: the queue-byte eviction rule and the receiving
+// end — an aggregator merges a delivered summary into its open epoch, the
+// central site indexes it in a FlowDB.
 package federation
 
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"megadata/internal/flow"
@@ -23,9 +22,8 @@ import (
 	"megadata/internal/flowql"
 	"megadata/internal/flowtree"
 	"megadata/internal/simnet"
-	"megadata/internal/storage"
-	"megadata/internal/storage/disk"
 	"megadata/internal/storage/diskio"
+	"megadata/internal/uplink"
 )
 
 // FleetConfig parameterizes a multi-level export fleet.
@@ -98,28 +96,8 @@ type FleetNode struct {
 	liveMu sync.Mutex
 	live   *flowtree.Tree
 
-	// shipMu serializes the node's drain-and-ship toward its parent
-	// (EndEpoch vs ReExportPending), so frames enter the uplink in
-	// stream order. pending and sendBase are guarded by it.
-	shipMu   sync.Mutex
-	pending  []fleetFrame
-	sendBase *flowtree.Tree
-
-	// recvMu guards recvBase: per-child full-fidelity reconstructions the
-	// next delta frame from that child applies onto.
-	recvMu   sync.Mutex
-	recvBase map[simnet.SiteID]*flowtree.Tree
-}
-
-// fleetFrame is one encoded epoch summary queued on a node's uplink. A
-// spilled frame's wire bytes live in the node's segment store; the queue
-// keeps only this marker.
-type fleetFrame struct {
-	start   time.Time
-	width   time.Duration
-	wire    []byte
-	delta   bool
-	spilled bool
+	// up is the node's export hop toward its parent (nil at the root).
+	up *uplink.Uplink
 }
 
 // Fleet is a running multi-level export federation.
@@ -133,18 +111,9 @@ type Fleet struct {
 	DB   *flowdb.DB
 	Root *FleetNode
 
-	levels  [][]*FleetNode // levels[d] = nodes at depth d, construction order
-	nodes   map[simnet.SiteID]*FleetNode
-	epoch   int
-	dropped atomic.Uint64
-
-	spillMu        sync.Mutex
-	spills         map[simnet.SiteID]*disk.SegmentStore
-	droppedExports atomic.Uint64
-	spilledFrames  atomic.Uint64
-	spilledBytes   atomic.Uint64
-	spillErrors    atomic.Uint64
-	corruptSpills  atomic.Uint64
+	levels [][]*FleetNode // levels[d] = nodes at depth d, construction order
+	nodes  map[simnet.SiteID]*FleetNode
+	epoch  int
 }
 
 // NewFleet builds and connects a multi-level export fleet.
@@ -179,10 +148,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		DB:    flowdb.New(),
 		nodes: make(map[simnet.SiteID]*FleetNode),
 	}
-	if cfg.SpillDir != "" {
-		fl.spills = make(map[simnet.SiteID]*disk.SegmentStore)
-	}
-	fl.Root = &FleetNode{ID: simnet.SiteID(cfg.Central), recvBase: make(map[simnet.SiteID]*flowtree.Tree)}
+	fl.Root = &FleetNode{ID: simnet.SiteID(cfg.Central)}
 	fl.nodes[fl.Root.ID] = fl.Root
 	fl.Net.AddSite(fl.Root.ID)
 	fl.levels = append(fl.levels, []*FleetNode{fl.Root})
@@ -202,11 +168,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 			if err != nil {
 				return err
 			}
-			n := &FleetNode{
-				ID: id, Depth: depth, Parent: parent,
-				live:     live,
-				recvBase: make(map[simnet.SiteID]*flowtree.Tree),
-			}
+			n := &FleetNode{ID: id, Depth: depth, Parent: parent, live: live}
 			parent.Children = append(parent.Children, n)
 			fl.nodes[id] = n
 			fl.Net.AddSite(id)
@@ -217,6 +179,25 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 			if err := fl.Net.Connect(id, parent.ID, link); err != nil {
 				return err
 			}
+			n.up = uplink.New(uplink.Config{
+				Name:     string(id),
+				Delta:    cfg.DeltaExports,
+				MaxChurn: cfg.DeltaMaxChurn,
+				SpillDir: cfg.SpillDir,
+				FS:       cfg.FS,
+				Transfer: func(b uint64) error {
+					_, err := fl.Net.Transfer(id, parent.ID, b)
+					return err
+				},
+				Deliver: func(start time.Time, width time.Duration, tree *flowtree.Tree) error {
+					return fl.deliver(parent, id, start, width, tree)
+				},
+				// Only in-memory wire bytes count against the cap: oldest
+				// frames are evicted until the rest fits.
+				Evict: func(_ time.Time, queuedBytes uint64) bool {
+					return cfg.QueueBytes > 0 && queuedBytes > cfg.QueueBytes
+				},
+			})
 			if len(fl.levels) == depth {
 				fl.levels = append(fl.levels, nil)
 			}
@@ -295,7 +276,7 @@ func (fl *Fleet) EndEpoch() error {
 				defer wg.Done()
 				sem <- struct{}{}
 				defer func() { <-sem }()
-				if _, err := fl.exportNode(n, epochStart); err != nil {
+				if err := fl.exportNode(n, epochStart); err != nil {
 					mu.Lock()
 					errs = append(errs, err)
 					mu.Unlock()
@@ -331,265 +312,70 @@ func (fl *Fleet) seal(n *FleetNode) (*flowtree.Tree, error) {
 	return sealed, nil
 }
 
-// exportNode runs one node's seal -> encode -> ship hop and reports how
-// many frames it delivered. Frames still pending from earlier failures
-// ship first, preserving uplink stream order.
-func (fl *Fleet) exportNode(n *FleetNode, epochStart time.Time) (int, error) {
+// exportNode runs one node's seal -> encode -> ship hop. Frames still
+// pending from earlier failures ship first, preserving uplink stream order.
+func (fl *Fleet) exportNode(n *FleetNode, epochStart time.Time) error {
 	sealed, err := fl.seal(n)
 	if err != nil {
-		return 0, err
-	}
-	n.shipMu.Lock()
-	defer n.shipMu.Unlock()
-	fr := fleetFrame{start: epochStart, width: fl.cfg.Epoch}
-	if fl.cfg.DeltaExports {
-		fr.wire, fr.delta = sealed.AppendDeltaOrFull(nil, n.sendBase, fl.cfg.DeltaMaxChurn)
-		n.sendBase = sealed
-	} else {
-		fr.wire = sealed.AppendBinary(nil)
-	}
-	batch := append(n.pending, fr)
-	n.pending = nil
-	got, err := fl.shipFrames(n, batch)
-	fl.capQueue(n)
-	return got, err
-}
-
-// shipFrames transfers queued frames up one hop in order. Callers hold
-// n.shipMu. On a transfer failure the failed frame and everything behind
-// it re-queue (transient failures are swallowed); on a decode failure at
-// the receiver, the bad frame and any delta frames chained off it are
-// dropped (counted) and the sender chain resets if nothing decodable
-// remains.
-func (fl *Fleet) shipFrames(n *FleetNode, batch []fleetFrame) (int, error) {
-	delivered := 0
-	for i, fr := range batch {
-		wire := fr.wire
-		if fr.spilled {
-			var err error
-			if wire, err = fl.unspillFrame(n, fr); err != nil {
-				// The spilled frame is unreadable (corrupt payload, missing
-				// segment): counted and dropped — retrying would re-read the
-				// same bytes — and deltas chained off it can never apply.
-				fl.corruptSpills.Add(1)
-				fl.droppedExports.Add(1)
-				n.pending = fl.dropBrokenChain(n, batch[i+1:])
-				return delivered, fmt.Errorf("federation: read spilled frame of %s: %w", n.ID, err)
-			}
-		}
-		if _, err := fl.Net.Transfer(n.ID, n.Parent.ID, uint64(len(wire))); err != nil {
-			n.pending = batch[i:]
-			if errors.Is(err, simnet.ErrTransient) {
-				return delivered, nil
-			}
-			return delivered, fmt.Errorf("federation: export %s -> %s: %w", n.ID, n.Parent.ID, err)
-		}
-		if err := fl.deliver(n.Parent, n.ID, fr, wire); err != nil {
-			n.pending = fl.dropBrokenChain(n, batch[i+1:])
-			return delivered, fmt.Errorf("federation: decode frame of %s at %s: %w", n.ID, n.Parent.ID, err)
-		}
-		if fr.spilled {
-			fl.discardSpill(n, fr)
-		}
-		delivered++
-	}
-	return delivered, nil
-}
-
-// dropBrokenChain drops (counted) the leading delta frames of rest — frames
-// chained off a frame that was just dropped, which can therefore never
-// decode — clearing the sender's chain tail if nothing survives so the next
-// sealed epoch ships full. Without delta exports it is the identity.
-func (fl *Fleet) dropBrokenChain(n *FleetNode, rest []fleetFrame) []fleetFrame {
-	if !fl.cfg.DeltaExports {
-		return rest
-	}
-	j := 0
-	for j < len(rest) && rest[j].delta {
-		fl.discardSpill(n, rest[j])
-		fl.dropped.Add(1)
-		j++
-	}
-	rest = rest[j:]
-	if len(rest) == 0 {
-		n.sendBase = nil
-	}
-	return rest
-}
-
-// capQueue applies the uplink queue-byte cap to what is STILL queued after
-// a ship attempt (callers hold n.shipMu) — running after the ship means a
-// frame over budget still delivers whenever the WAN lets it through. Only
-// in-memory wire bytes count against the cap: spilled frames cost disk,
-// not memory. Oldest frames are evicted first — spilled when a spill tier
-// is configured, dropped and counted otherwise. Delta frames chained
-// behind a dropped frame drop too, and the chain tail resets if the chain
-// is still broken at the end of the queue.
-func (fl *Fleet) capQueue(n *FleetNode) {
-	if fl.cfg.QueueBytes == 0 || len(n.pending) == 0 {
-		return
-	}
-	mem := uint64(0)
-	for i := range n.pending {
-		mem += uint64(len(n.pending[i].wire))
-	}
-	kept := n.pending[:0]
-	broken := false
-	for _, fr := range n.pending {
-		switch {
-		case broken && fr.delta:
-			fl.discardSpill(n, fr)
-			fl.droppedExports.Add(1)
-		case fr.spilled || mem <= fl.cfg.QueueBytes:
-			kept = append(kept, fr)
-			broken = false
-		default:
-			mem -= uint64(len(fr.wire))
-			if fl.spillFrame(n, &fr) {
-				kept = append(kept, fr)
-				broken = false
-				continue
-			}
-			fl.droppedExports.Add(1)
-			broken = true
-		}
-	}
-	if broken && fl.cfg.DeltaExports {
-		n.sendBase = nil
-	}
-	n.pending = kept
-}
-
-// spillStore returns a node's on-disk spill store, opening it on first
-// use; nil without SpillDir or when the open fails (counted).
-func (fl *Fleet) spillStore(n *FleetNode) *disk.SegmentStore {
-	if fl.cfg.SpillDir == "" {
-		return nil
-	}
-	fl.spillMu.Lock()
-	defer fl.spillMu.Unlock()
-	if sp, ok := fl.spills[n.ID]; ok {
-		return sp
-	}
-	sp, err := disk.OpenSegmentStore(fl.cfg.FS, filepath.Join(fl.cfg.SpillDir, string(n.ID)))
-	if err != nil {
-		fl.spillErrors.Add(1)
-		return nil
-	}
-	fl.spills[n.ID] = sp
-	return sp
-}
-
-// spillFrame moves fr's wire bytes into the node's spill store, marking
-// the queue entry frameless on success. A failed spill write is counted
-// and reported false — the caller falls back to dropping the frame.
-func (fl *Fleet) spillFrame(n *FleetNode, fr *fleetFrame) bool {
-	sp := fl.spillStore(n)
-	if sp == nil {
-		return false
-	}
-	err := sp.Put(storage.Epoch[[]byte]{
-		Start: fr.start, Width: fr.width,
-		Size: uint64(len(fr.wire)), Payload: fr.wire,
-	})
-	if err != nil {
-		fl.spillErrors.Add(1)
-		return false
-	}
-	fl.spilledFrames.Add(1)
-	fl.spilledBytes.Add(uint64(len(fr.wire)))
-	fr.wire = nil
-	fr.spilled = true
-	return true
-}
-
-// unspillFrame reads a spilled frame back, checksum-verified.
-func (fl *Fleet) unspillFrame(n *FleetNode, fr fleetFrame) ([]byte, error) {
-	sp := fl.spillStore(n)
-	if sp == nil {
-		return nil, errors.New("federation: spill store unavailable")
-	}
-	wire, ok, err := sp.Get(fr.start)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("federation: spilled frame %v missing from disk", fr.start)
-	}
-	return wire, nil
-}
-
-// discardSpill deletes a delivered or dropped frame's on-disk bytes, if it
-// has any (best effort: an orphaned segment wastes space, nothing else).
-func (fl *Fleet) discardSpill(n *FleetNode, fr fleetFrame) {
-	if !fr.spilled {
-		return
-	}
-	if sp := fl.spillStore(n); sp != nil {
-		_, _ = sp.Drop(fr.start)
-	}
-}
-
-// deliver decodes one frame at the receiving hop: the central site indexes
-// it as a FlowDB row; an aggregator merges it into its open-epoch
-// accumulation. With delta exports the receiver retains the full-fidelity
-// reconstruction per child as the next delta's base.
-func (fl *Fleet) deliver(parent *FleetNode, child simnet.SiteID, fr fleetFrame, wire []byte) error {
-	var recon *flowtree.Tree
-	var err error
-	if fl.cfg.DeltaExports {
-		parent.recvMu.Lock()
-		base := parent.recvBase[child]
-		parent.recvMu.Unlock()
-		recon, err = flowtree.DecodeDelta(wire, base, 0)
-		if err != nil {
-			return err
-		}
-		parent.recvMu.Lock()
-		parent.recvBase[child] = recon
-		parent.recvMu.Unlock()
-	} else if recon, err = flowtree.Decode(wire, 0); err != nil {
 		return err
 	}
-	if parent == fl.Root {
-		row := recon
-		if fl.cfg.CentralBudget > 0 {
-			row = recon.Clone()
-			if err := row.SetBudget(fl.cfg.CentralBudget); err != nil {
-				return err
-			}
-		}
-		return fl.DB.Insert(flowdb.Row{
-			Location: string(child), Start: fr.start, Width: fr.width, Tree: row,
-		})
+	_, err = n.up.Export(sealed, epochStart, fl.cfg.Epoch)
+	return err
+}
+
+// deliver is every hop's receiving end: the central site indexes the
+// decoded summary as a FlowDB row, re-compressed to CentralBudget when one
+// is set (a clone when the hop retains the decode as its next delta base);
+// an aggregator merges it into its open-epoch accumulation.
+func (fl *Fleet) deliver(parent *FleetNode, child simnet.SiteID, start time.Time, width time.Duration, tree *flowtree.Tree) error {
+	if parent != fl.Root {
+		parent.liveMu.Lock()
+		defer parent.liveMu.Unlock()
+		return parent.live.Merge(tree)
 	}
-	parent.liveMu.Lock()
-	defer parent.liveMu.Unlock()
-	return parent.live.Merge(recon)
+	if fl.cfg.CentralBudget > 0 {
+		if fl.cfg.DeltaExports {
+			tree = tree.Clone()
+		}
+		if err := tree.SetBudget(fl.cfg.CentralBudget); err != nil {
+			return err
+		}
+	}
+	return fl.DB.Insert(flowdb.Row{Location: string(child), Start: start, Width: width, Tree: tree})
+}
+
+// hops visits every uplink, deepest level first.
+func (fl *Fleet) hops(visit func(*uplink.Uplink)) {
+	for d := len(fl.levels) - 1; d >= 1; d-- {
+		for _, n := range fl.levels[d] {
+			visit(n.up)
+		}
+	}
+}
+
+// hopStats sums the uplinks' counters fleet-wide.
+func (fl *Fleet) hopStats() uplink.Stats {
+	var st uplink.Stats
+	fl.hops(func(u *uplink.Uplink) { st.Add(u.Stats()) })
+	return st
 }
 
 // PendingExports counts frames queued on uplinks fleet-wide.
 func (fl *Fleet) PendingExports() int {
 	total := 0
-	for d := 1; d < len(fl.levels); d++ {
-		for _, n := range fl.levels[d] {
-			n.shipMu.Lock()
-			total += len(n.pending)
-			n.shipMu.Unlock()
-		}
-	}
+	fl.hops(func(u *uplink.Uplink) { total += u.Pending() })
 	return total
 }
 
 // DroppedFrames counts frames dropped for chain integrity (deltas behind
 // an undecodable frame).
-func (fl *Fleet) DroppedFrames() int { return int(fl.dropped.Load()) }
+func (fl *Fleet) DroppedFrames() int { return int(fl.hopStats().DroppedChain) }
 
 // DroppedExports counts queued frames lost to the uplink queue cap: evicted
 // with no spill tier (or a failed spill write), unreadable when re-shipped
 // from disk, or chained behind either. Zero means every sealed epoch the
 // fleet produced was — or still can be — delivered.
-func (fl *Fleet) DroppedExports() int { return int(fl.droppedExports.Load()) }
+func (fl *Fleet) DroppedExports() int { return int(fl.hopStats().DroppedEvicted) }
 
 // FleetDiskStats reports the spill tier's counters.
 type FleetDiskStats struct {
@@ -607,11 +393,12 @@ type FleetDiskStats struct {
 
 // DiskStats snapshots the spill tier's counters.
 func (fl *Fleet) DiskStats() FleetDiskStats {
+	st := fl.hopStats()
 	return FleetDiskStats{
-		SpilledFrames: fl.spilledFrames.Load(),
-		SpilledBytes:  fl.spilledBytes.Load(),
-		SpillErrors:   fl.spillErrors.Load(),
-		CorruptSpills: fl.corruptSpills.Load(),
+		SpilledFrames: st.SpilledFrames,
+		SpilledBytes:  st.SpilledBytes,
+		SpillErrors:   st.SpillErrors,
+		CorruptSpills: st.CorruptSpills,
 	}
 }
 
@@ -625,24 +412,13 @@ func (fl *Fleet) WANBytes() uint64 { return fl.Net.TotalStats().Bytes }
 func (fl *Fleet) ReExportPending() (int, error) {
 	delivered := 0
 	var errs []error
-	for d := len(fl.levels) - 1; d >= 1; d-- {
-		for _, n := range fl.levels[d] {
-			n.shipMu.Lock()
-			if len(n.pending) == 0 {
-				n.shipMu.Unlock()
-				continue
-			}
-			batch := n.pending
-			n.pending = nil
-			got, err := fl.shipFrames(n, batch)
-			fl.capQueue(n)
-			n.shipMu.Unlock()
-			delivered += got
-			if err != nil {
-				errs = append(errs, err)
-			}
+	fl.hops(func(u *uplink.Uplink) {
+		got, err := u.Retry()
+		delivered += got
+		if err != nil {
+			errs = append(errs, err)
 		}
-	}
+	})
 	return delivered, errors.Join(errs...)
 }
 
@@ -672,7 +448,7 @@ func (fl *Fleet) Drain(maxRounds int) error {
 				if empty {
 					continue
 				}
-				if _, err := fl.exportNode(n, epochStart); err != nil {
+				if err := fl.exportNode(n, epochStart); err != nil {
 					return err
 				}
 				flushed++

@@ -215,6 +215,69 @@ func TestCorruptSpillCountedNotDecoded(t *testing.T) {
 	}
 }
 
+// TestEndEpochAdvancesPastSiteError pins the epoch index to the seals, not
+// to the exports' success: an EndEpoch in which one site's export errors
+// (here an unreadable spilled frame) has still sealed every site and moved
+// the clock, so the next epoch must get the next start — not reuse this
+// one's, which would duplicate (Location, Start) at central.
+func TestEndEpochAdvancesPastSiteError(t *testing.T) {
+	dir := t.TempDir()
+	sites := []string{"edge", "core"}
+	sys, err := New(Config{
+		Sites:          sites,
+		Epoch:          time.Minute,
+		Link:           linkDown,
+		RetentionBytes: retentionFor(t, 2),
+		SpillDir:       dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	endEpoch := func(wantErr bool) {
+		t.Helper()
+		for _, site := range sites {
+			if err := sys.Ingest(site, []flow.Record{oneFlow}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sys.EndEpoch(); (err != nil) != wantErr {
+			t.Fatalf("EndEpoch %d: err=%v, want error=%v", sys.Epoch(), err, wantErr)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		endEpoch(false)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "edge", "*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no spill segments: %v", err)
+	}
+	if err := os.Remove(segs[0]); err != nil {
+		t.Fatal(err)
+	}
+	for _, site := range sites {
+		if err := sys.Net.Connect(simnet.SiteID(site), sys.central, linkUp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	endEpoch(true) // edge's oldest spilled frame is gone
+	endEpoch(false)
+	if sys.Epoch() != 6 {
+		t.Errorf("epoch index %d after 6 seals", sys.Epoch())
+	}
+	seen := make(map[string]bool)
+	for _, r := range sys.DB.Rows() {
+		key := r.Location + "@" + r.Start.String()
+		if seen[key] {
+			t.Errorf("duplicate central row %s", key)
+		}
+		seen[key] = true
+	}
+	// Every sealed epoch but the lost one reached central.
+	if want := 6*len(sites) - 1; sys.DB.Len() != want || sys.PendingExports() != 0 || sys.DroppedExports() != 1 {
+		t.Errorf("rows=%d pending=%d dropped=%d, want %d/0/1", sys.DB.Len(), sys.PendingExports(), sys.DroppedExports(), want)
+	}
+}
+
 // epochRecords is the deterministic per-site workload the crash-recovery
 // tests replay.
 func epochRecords(t *testing.T, epoch, site int) []flow.Record {

@@ -254,70 +254,6 @@ func TestPipelinedEndEpochMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestShipRequeuesBehindDecodeFailure locks in the error-path guarantee:
-// an undecodable blob surfaces an error and is dropped (it would never
-// decode on retry), but epochs queued behind it stay pending. The queued
-// epochs are real sealed epochs — still in local retention — so the
-// retention cap passes them through to the re-ship path.
-func TestShipRequeuesBehindDecodeFailure(t *testing.T) {
-	// Every transfer attempt fails while the queue builds up.
-	down := simnet.Link{BytesPerSecond: 10e6, Latency: time.Millisecond, FailEvery: 1}
-	sys, err := New(Config{Sites: []string{"edge"}, Epoch: time.Minute, Link: down})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(bytes uint64) []flow.Record {
-		return []flow.Record{{
-			Key:     flow.Exact(flow.ProtoTCP, 0x0A000001, 0xC0A80101, 40000, 443),
-			Packets: 1, Bytes: bytes,
-		}}
-	}
-	for _, bytes := range []uint64{100, 900} {
-		if err := sys.Ingest("edge", mk(bytes)); err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.EndEpoch(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if sys.PendingExports() != 2 {
-		t.Fatalf("pending=%d, want 2", sys.PendingExports())
-	}
-	// Corrupt the oldest queued blob and bring the link back up.
-	sys.pendMu.Lock()
-	sys.pending["edge"][0].wire = []byte("not a flowtree")
-	sys.pendMu.Unlock()
-	up := simnet.Link{BytesPerSecond: 10e6, Latency: time.Millisecond}
-	if err := sys.Net.Connect("edge", sys.central, up); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.ReExportPending(); err == nil {
-		t.Fatal("corrupt blob must surface a decode error")
-	}
-	if sys.DB.Len() != 0 {
-		t.Errorf("rows delivered past the decode failure: %d", sys.DB.Len())
-	}
-	if sys.PendingExports() != 1 {
-		t.Errorf("pending=%d, want 1 (the epoch behind the corrupt blob)", sys.PendingExports())
-	}
-	// The surviving epoch drains normally — it is still in retention, so
-	// the cap does not touch it.
-	n, err := sys.ReExportPending()
-	if err != nil || n != 1 || sys.PendingExports() != 0 {
-		t.Errorf("ReExportPending: n=%d err=%v pending=%d", n, err, sys.PendingExports())
-	}
-	if sys.DroppedExports() != 0 {
-		t.Errorf("retained epochs were dropped: %d", sys.DroppedExports())
-	}
-	res, err := sys.Query(`SELECT QUERY FROM ALL`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Counters.Bytes != 900 {
-		t.Errorf("central bytes=%d, want 900 (epoch behind the corrupt blob)", res.Counters.Bytes)
-	}
-}
-
 // TestPendingQueueCappedByRetention drives the ROADMAP cap end to end:
 // with the WAN down and a retention budget of ~2.5 epochs, the re-ship
 // queue cannot outgrow the retention horizon — epochs the round-robin

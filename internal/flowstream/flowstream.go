@@ -3,14 +3,16 @@
 // aggregates with a Flowtree computing primitive, (3) sealed epoch
 // summaries are exported over the (simulated) WAN to a central data store,
 // (4) FlowDB stores and indexes them, and (5) applications query the result
-// through the FlowQL API.
+// through the FlowQL API. The export hop of step 3 — pending queue, delta
+// chain, spill tier, ship and retry — is internal/uplink, one per site; this
+// package supplies what is specific to a site-to-central hop: the simnet
+// link, the retention-horizon eviction rule and the FlowDB row.
 package flowstream
 
 import (
 	"errors"
 	"fmt"
 	"io"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,9 +25,9 @@ import (
 	"megadata/internal/flowtree"
 	"megadata/internal/primitive"
 	"megadata/internal/simnet"
-	"megadata/internal/storage"
 	"megadata/internal/storage/disk"
 	"megadata/internal/storage/diskio"
+	"megadata/internal/uplink"
 )
 
 // Config parameterizes a Flowstream deployment.
@@ -132,59 +134,21 @@ type System struct {
 	epoch   int
 	source  *flowsource.Source
 
-	// pendMu guards pending: per-site queues of sealed epochs whose WAN
-	// transfer failed. The epochs stay queryable in the site's local
-	// retention; the encoded blobs queue here until ReExportPending or
-	// the next EndEpoch delivers them to central. The queue is capped
-	// against the site's retention horizon: epochs retention has evicted
-	// are dropped (counted in dropped) when the queue is next drained.
-	pendMu  sync.Mutex
-	pending map[string][]pendingExport
-	dropped atomic.Uint64
+	// links is each site's export hop toward central. A queued epoch stays
+	// queryable in the site's local retention while its frame waits in the
+	// hop's queue; the hop's eviction rule is that retention horizon: a
+	// queued epoch retention has since evicted is spilled or dropped.
+	links map[string]*uplink.Uplink
 
-	// baseMu guards the delta-export chain state (Config.DeltaExports):
-	// sendBase is, per site, the sealed tree of the last frame appended to
-	// that site's export stream (the chain tail the next delta encodes
-	// against; nil forces a full frame); recvBase is central's
-	// full-fidelity decode of the last frame delivered per site (the base
-	// the next delta applies onto). Sealed trees are immutable, so holding
-	// references is safe.
-	baseMu   sync.Mutex
-	sendBase map[string]*flowtree.Tree
-	recvBase map[string]*flowtree.Tree
+	// rowMu guards parked: rows the hops delivered to central, held for the
+	// single-writer InsertBatch of the EndEpoch or ReExportPending that
+	// shipped them.
+	rowMu  sync.Mutex
+	parked []flowdb.Row
 
-	// shipMu serializes per-site drain-and-ship sections (exportSite vs
-	// ReExportPending): whichever caller wins drains the pending queue and
-	// delivers first, so frames always reach central in stream order — the
-	// invariant delta chains decode under. Different sites never contend.
-	shipMu map[string]*sync.Mutex
-
-	// wal is the per-site write-ahead journal (Config.WALDir); spills are
-	// the per-site on-disk segment stores backing evicted pending exports
-	// (Config.SpillDir), opened lazily under spillMu.
-	wal     *disk.WALSet
-	spillMu sync.Mutex
-	spills  map[string]*disk.SegmentStore
-
+	// wal is the per-site write-ahead journal (Config.WALDir).
+	wal           *disk.WALSet
 	walSealErrors atomic.Uint64
-	spilledEpochs atomic.Uint64
-	spilledBytes  atomic.Uint64
-	spillErrors   atomic.Uint64
-	corruptSpills atomic.Uint64
-}
-
-// pendingExport is one sealed, encoded epoch awaiting (re-)shipment.
-type pendingExport struct {
-	start time.Time
-	width time.Duration
-	wire  []byte
-	// delta marks a v3 frame, decodable only right after the frame before
-	// it in the stream (chain integrity).
-	delta bool
-	// spilled marks an epoch whose frame lives in the site's on-disk
-	// spill store instead of wire (which is nil); ship re-reads it by
-	// start time and drops it from disk once delivered.
-	spilled bool
 }
 
 // New builds and connects a Flowstream deployment.
@@ -223,19 +187,13 @@ func New(cfg Config) (*System, error) {
 		cfg.DeltaMaxChurn = 0.5
 	}
 	s := &System{
-		cfg:      cfg,
-		Clock:    simnet.NewClock(cfg.Start),
-		Net:      simnet.NewNetwork(),
-		DB:       flowdb.New(),
-		stores:   make(map[string]*datastore.Store, len(cfg.Sites)),
-		central:  simnet.SiteID(cfg.Central),
-		pending:  make(map[string][]pendingExport),
-		sendBase: make(map[string]*flowtree.Tree),
-		recvBase: make(map[string]*flowtree.Tree),
-		shipMu:   make(map[string]*sync.Mutex, len(cfg.Sites)),
-	}
-	for _, site := range cfg.Sites {
-		s.shipMu[site] = &sync.Mutex{}
+		cfg:     cfg,
+		Clock:   simnet.NewClock(cfg.Start),
+		Net:     simnet.NewNetwork(),
+		DB:      flowdb.New(),
+		stores:  make(map[string]*datastore.Store, len(cfg.Sites)),
+		central: simnet.SiteID(cfg.Central),
+		links:   make(map[string]*uplink.Uplink, len(cfg.Sites)),
 	}
 	s.Net.AddSite(s.central)
 	for _, site := range cfg.Sites {
@@ -277,6 +235,23 @@ func New(cfg Config) (*System, error) {
 		if err := s.Net.Connect(simnet.SiteID(site), s.central, cfg.Link); err != nil {
 			return nil, err
 		}
+		s.links[site] = uplink.New(uplink.Config{
+			Name:     site,
+			Delta:    cfg.DeltaExports,
+			MaxChurn: cfg.DeltaMaxChurn,
+			SpillDir: cfg.SpillDir,
+			FS:       cfg.DiskFS,
+			Transfer: func(n uint64) error {
+				_, err := s.Net.Transfer(simnet.SiteID(site), s.central, n)
+				return err
+			},
+			Deliver: func(start time.Time, width time.Duration, tree *flowtree.Tree) error {
+				return s.park(site, start, width, tree)
+			},
+			Evict: func(start time.Time, _ uint64) bool {
+				return !store.RetainsEpoch(aggName, start)
+			},
+		})
 	}
 	if cfg.WALDir != "" {
 		if cfg.Source == nil {
@@ -290,9 +265,6 @@ func New(cfg Config) (*System, error) {
 			return nil, fmt.Errorf("flowstream: open wal: %w", err)
 		}
 		s.wal = wal
-	}
-	if cfg.SpillDir != "" {
-		s.spills = make(map[string]*disk.SegmentStore)
 	}
 	if cfg.Source != nil {
 		// The source delivers pre-partitioned batches straight into the
@@ -435,11 +407,7 @@ func (s *System) EndEpoch() error {
 	}
 	epochStart := s.cfg.Start.Add(time.Duration(s.epoch) * s.cfg.Epoch)
 	s.Clock.AdvanceTo(epochStart.Add(s.cfg.Epoch))
-	var (
-		mu        sync.Mutex
-		collected []flowdb.Row
-		wg        sync.WaitGroup
-	)
+	var wg sync.WaitGroup
 	errs := make([]error, len(s.cfg.Sites))
 	sem := make(chan struct{}, s.cfg.ExportWorkers)
 	for i, site := range s.cfg.Sites {
@@ -448,17 +416,17 @@ func (s *System) EndEpoch() error {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			rows, err := s.exportSite(site, epochStart)
-			mu.Lock()
-			collected = append(collected, rows...)
-			mu.Unlock()
-			errs[i] = err
+			errs[i] = s.exportSite(site, epochStart)
 		}(i, site)
 	}
 	wg.Wait()
+	// Every site has sealed and the clock has moved, so the epoch index
+	// advances even when a site's export failed: the next epoch must not be
+	// stamped with this one's start.
+	s.epoch++
 	// Single writer: all decoded rows land in FlowDB under one lock
 	// acquisition, appended to their per-location segments.
-	if err := s.DB.InsertBatch(collected); err != nil {
+	if err := s.DB.InsertBatch(s.takeParked()); err != nil {
 		return err
 	}
 	for _, err := range errs {
@@ -466,21 +434,19 @@ func (s *System) EndEpoch() error {
 			return err
 		}
 	}
-	s.epoch++
 	return nil
 }
 
 // exportSite runs one site's seal -> encode -> ship stage of the epoch
-// pipeline and returns the decoded central rows it delivered. Epochs still
-// pending from earlier failures ship first, preserving per-site order.
-func (s *System) exportSite(site string, epochStart time.Time) ([]flowdb.Row, error) {
-	st := s.stores[site]
+// pipeline. Epochs still pending from earlier failures ship first,
+// preserving per-site order; delivered rows are parked for the caller.
+func (s *System) exportSite(site string, epochStart time.Time) error {
 	// SealExport merges the site's shards into one budgeted summary
 	// exactly once — off the registry lock, so ingest keeps flowing —
 	// moving it into retention and handing it back for the WAN export.
-	sealed, err := st.SealExport(aggName)
+	sealed, err := s.stores[site].SealExport(aggName)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if s.wal != nil {
 		// Epoch-seal truncation: every record the journal holds for this
@@ -496,305 +462,64 @@ func (s *System) exportSite(site string, epochStart time.Time) ([]flowdb.Row, er
 	}
 	ft, ok := sealed.(*primitive.FlowtreeAggregator)
 	if !ok {
-		return nil, fmt.Errorf("flowstream: site %q aggregator is %T", site, sealed)
+		return fmt.Errorf("flowstream: site %q aggregator is %T", site, sealed)
 	}
-	tree := ft.Tree()
-	s.shipMu[site].Lock()
-	defer s.shipMu[site].Unlock()
-	pe := pendingExport{start: epochStart, width: s.cfg.Epoch}
-	if s.cfg.DeltaExports {
-		pe.wire, pe.delta = tree.AppendDeltaOrFull(nil, s.baseOf(s.sendBase, site), s.cfg.DeltaMaxChurn)
-		s.setBase(s.sendBase, site, tree)
-	} else {
-		pe.wire = tree.AppendBinary(nil)
-	}
-	// Ship everything still queued plus this epoch, THEN apply the
-	// retention cap to what the WAN left behind: an epoch evicted from the
-	// retention ring while queued still ships when this cycle can deliver
-	// it — the encoded frame in the queue is the data. Only what remains
-	// undeliverable is spilled to disk or dropped (capPending).
-	rows, err := s.ship(site, append(s.takePending(site), pe))
-	s.capPending(site)
-	return rows, err
+	_, err = s.links[site].Export(ft.Tree(), epochStart, s.cfg.Epoch)
+	return err
 }
 
-// baseOf / setBase access the per-site delta chain state under baseMu; a
-// nil tree deletes the entry.
-func (s *System) baseOf(m map[string]*flowtree.Tree, site string) *flowtree.Tree {
-	s.baseMu.Lock()
-	defer s.baseMu.Unlock()
-	return m[site]
-}
-
-func (s *System) setBase(m map[string]*flowtree.Tree, site string, t *flowtree.Tree) {
-	s.baseMu.Lock()
-	defer s.baseMu.Unlock()
-	if t == nil {
-		delete(m, site)
-		return
-	}
-	m[site] = t
-}
-
-// ship transfers queued epochs for one site to central in order, decoding
-// each delivered blob into a FlowDB row. On a transfer failure the failed
-// epoch and everything queued behind it are re-queued (order preserved);
-// a transient failure is swallowed — the data is safe locally and will be
-// re-shipped — while topology errors surface.
-func (s *System) ship(site string, batch []pendingExport) ([]flowdb.Row, error) {
-	var rows []flowdb.Row
-	for i, pe := range batch {
-		wire := pe.wire
-		if pe.spilled {
-			var err error
-			if wire, err = s.unspill(site, pe); err != nil {
-				// The spilled frame is unreadable (corrupt payload,
-				// missing segment): counted and dropped like an
-				// undecodable delivery — retrying would re-read the same
-				// bytes — and delta frames chained off it can never
-				// apply.
-				s.corruptSpills.Add(1)
-				s.dropped.Add(1)
-				s.requeue(site, s.dropBrokenChain(site, batch[i+1:]))
-				return rows, fmt.Errorf("flowstream: read spilled export of %q: %w", site, err)
-			}
+// park is every hop's Deliver: it turns one frame decoded at central into
+// a FlowDB row, re-compressed to CentralBudget when one is set. With delta
+// exports the hop retains the decode as the next delta's base, so the row
+// is a clone.
+func (s *System) park(site string, start time.Time, width time.Duration, tree *flowtree.Tree) error {
+	if s.cfg.CentralBudget > 0 {
+		if s.cfg.DeltaExports {
+			tree = tree.Clone()
 		}
-		if _, err := s.Net.Transfer(simnet.SiteID(site), s.central, uint64(len(wire))); err != nil {
-			s.requeue(site, batch[i:])
-			if errors.Is(err, simnet.ErrTransient) {
-				return rows, nil
-			}
-			return rows, fmt.Errorf("flowstream: export %q: %w", site, err)
-		}
-		tree, err := s.decodeFrame(site, wire)
-		if err != nil {
-			// The undecodable blob itself was delivered and is not
-			// requeued (it would never decode on a retry either), but
-			// the epochs behind it stay queued for re-shipment — except
-			// delta frames chained directly off the bad frame, which can
-			// never apply: they are dropped (counted) up to the next full
-			// frame, and the sender chain resets if none remains.
-			s.requeue(site, s.dropBrokenChain(site, batch[i+1:]))
-			return rows, fmt.Errorf("flowstream: decode export of %q: %w", site, err)
-		}
-		if pe.spilled {
-			s.discardSpill(site, pe)
-		}
-		rows = append(rows, flowdb.Row{
-			Location: site,
-			Start:    pe.start,
-			Width:    pe.width,
-			Tree:     tree,
-		})
-	}
-	return rows, nil
-}
-
-// dropBrokenChain drops (counted) the leading delta frames of rest — frames
-// chained off a blob that was just dropped, which can therefore never
-// decode — clearing the sender's chain tail if nothing survives so the next
-// sealed epoch ships full. Without delta exports it is the identity.
-func (s *System) dropBrokenChain(site string, rest []pendingExport) []pendingExport {
-	if !s.cfg.DeltaExports {
-		return rest
-	}
-	j := 0
-	for j < len(rest) && rest[j].delta {
-		s.discardSpill(site, rest[j])
-		s.dropped.Add(1)
-		j++
-	}
-	rest = rest[j:]
-	if len(rest) == 0 {
-		s.setBase(s.sendBase, site, nil)
-	}
-	return rest
-}
-
-// decodeFrame turns one delivered blob into the row tree. With delta
-// exports, central retains a full-fidelity reconstruction per site as the
-// base the next delta applies onto; the row tree is that reconstruction,
-// re-compressed to CentralBudget when one is set.
-func (s *System) decodeFrame(site string, wire []byte) (*flowtree.Tree, error) {
-	if !s.cfg.DeltaExports {
-		return flowtree.Decode(wire, s.cfg.CentralBudget)
-	}
-	recon, err := flowtree.DecodeDelta(wire, s.baseOf(s.recvBase, site), 0)
-	if err != nil {
-		return nil, err
-	}
-	s.setBase(s.recvBase, site, recon)
-	if s.cfg.CentralBudget == 0 {
-		return recon, nil
-	}
-	row := recon.Clone()
-	if err := row.SetBudget(s.cfg.CentralBudget); err != nil {
-		return nil, err
-	}
-	return row, nil
-}
-
-// takePending removes and returns a site's queued exports, oldest first.
-func (s *System) takePending(site string) []pendingExport {
-	s.pendMu.Lock()
-	defer s.pendMu.Unlock()
-	batch := s.pending[site]
-	delete(s.pending, site)
-	return batch
-}
-
-// capPending applies the retention cap to what is STILL queued after a
-// ship attempt (callers hold the site's shipMu). Running after the ship —
-// not before it — is deliberate: the encoded frame in the queue is the
-// data, so an epoch retention evicted while it waited still ships whenever
-// the WAN lets it through; only epochs that remain undeliverable face the
-// cap. Two outcomes apply to an evicted queued epoch:
-//
-//  1. Spill (Config.SpillDir set): the frame moves to the site's on-disk
-//     segment store, the queue keeps a frameless marker, and the next
-//     cycle re-ships it from disk — multi-epoch WAN outages then cost
-//     disk space, not data (DroppedExports stays 0).
-//  2. Drop (no spill, or the spill write failed): the epoch is dropped
-//     and counted. Delta frames chained behind a dropped frame can never
-//     decode, so they drop too (counted) until the next full frame; if
-//     the chain is still broken at the end of the queue, the sender's
-//     chain tail is cleared so the next sealed epoch ships full.
-func (s *System) capPending(site string) {
-	st := s.stores[site]
-	s.pendMu.Lock()
-	defer s.pendMu.Unlock()
-	q := s.pending[site]
-	if len(q) == 0 {
-		return
-	}
-	kept := q[:0]
-	broken := false
-	for _, pe := range q {
-		switch {
-		case broken && pe.delta:
-			s.discardSpill(site, pe)
-			s.dropped.Add(1)
-		case pe.spilled || st.RetainsEpoch(aggName, pe.start):
-			kept = append(kept, pe)
-			broken = false
-		default:
-			// Evicted from the retention ring while queued: spill the
-			// frame if a spill tier is configured, drop it otherwise.
-			if s.spill(site, &pe) {
-				kept = append(kept, pe)
-				broken = false
-				continue
-			}
-			s.dropped.Add(1)
-			broken = true
+		if err := tree.SetBudget(s.cfg.CentralBudget); err != nil {
+			return err
 		}
 	}
-	if broken && s.cfg.DeltaExports {
-		s.setBase(s.sendBase, site, nil)
-	}
-	if len(kept) == 0 {
-		delete(s.pending, site)
-		return
-	}
-	s.pending[site] = kept
+	s.rowMu.Lock()
+	defer s.rowMu.Unlock()
+	s.parked = append(s.parked, flowdb.Row{Location: site, Start: start, Width: width, Tree: tree})
+	return nil
 }
 
-// spillStore returns the site's on-disk spill store, opening it on first
-// use; nil without Config.SpillDir or when the open fails (counted).
-func (s *System) spillStore(site string) *disk.SegmentStore {
-	if s.cfg.SpillDir == "" {
-		return nil
-	}
-	s.spillMu.Lock()
-	defer s.spillMu.Unlock()
-	if sp, ok := s.spills[site]; ok {
-		return sp
-	}
-	sp, err := disk.OpenSegmentStore(s.cfg.DiskFS, filepath.Join(s.cfg.SpillDir, site))
-	if err != nil {
-		s.spillErrors.Add(1)
-		return nil
-	}
-	s.spills[site] = sp
-	return sp
+// takeParked removes and returns the rows awaiting insertion.
+func (s *System) takeParked() []flowdb.Row {
+	s.rowMu.Lock()
+	defer s.rowMu.Unlock()
+	rows := s.parked
+	s.parked = nil
+	return rows
 }
 
-// spill moves pe's frame into the site's spill store, marking the entry
-// frameless on success. A failed spill write is counted and reported false
-// — the caller falls back to dropping the epoch.
-func (s *System) spill(site string, pe *pendingExport) bool {
-	sp := s.spillStore(site)
-	if sp == nil {
-		return false
+// linkStats sums the export hops' counters over all sites.
+func (s *System) linkStats() uplink.Stats {
+	var st uplink.Stats
+	for _, l := range s.links {
+		st.Add(l.Stats())
 	}
-	err := sp.Put(storage.Epoch[[]byte]{
-		Start: pe.start, Width: pe.width,
-		Size: uint64(len(pe.wire)), Payload: pe.wire,
-	})
-	if err != nil {
-		s.spillErrors.Add(1)
-		return false
-	}
-	s.spilledEpochs.Add(1)
-	s.spilledBytes.Add(uint64(len(pe.wire)))
-	pe.wire = nil
-	pe.spilled = true
-	return true
-}
-
-// unspill reads a spilled frame back, checksum-verified.
-func (s *System) unspill(site string, pe pendingExport) ([]byte, error) {
-	sp := s.spillStore(site)
-	if sp == nil {
-		return nil, errors.New("flowstream: spill store unavailable")
-	}
-	wire, ok, err := sp.Get(pe.start)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("flowstream: spilled epoch %v missing from disk", pe.start)
-	}
-	return wire, nil
-}
-
-// discardSpill deletes a delivered or dropped entry's on-disk frame, if it
-// has one (best effort: an orphaned segment wastes space, nothing else).
-func (s *System) discardSpill(site string, pe pendingExport) {
-	if !pe.spilled {
-		return
-	}
-	if sp := s.spillStore(site); sp != nil {
-		_, _ = sp.Drop(pe.start)
-	}
-}
-
-// requeue puts undelivered exports back at the head of a site's queue.
-func (s *System) requeue(site string, batch []pendingExport) {
-	if len(batch) == 0 {
-		return
-	}
-	s.pendMu.Lock()
-	defer s.pendMu.Unlock()
-	s.pending[site] = append(append([]pendingExport{}, batch...), s.pending[site]...)
+	return st
 }
 
 // DroppedExports reports how many queued epochs were dropped from the
-// re-ship queues because local retention evicted them before they could be
-// delivered (the honest alternative to re-shipping data the site no longer
-// holds).
+// re-ship queues: evicted by local retention before they could be delivered
+// (the honest alternative to re-shipping data the site no longer holds),
+// unreadable in the spill tier, or chained as deltas behind such a frame.
 func (s *System) DroppedExports() int {
-	return int(s.dropped.Load())
+	st := s.linkStats()
+	return int(st.DroppedChain + st.DroppedEvicted)
 }
 
 // PendingExports reports how many sealed epochs are queued for re-shipment
 // across all sites (0 when every export has reached central FlowDB).
 func (s *System) PendingExports() int {
-	s.pendMu.Lock()
-	defer s.pendMu.Unlock()
 	n := 0
-	for _, q := range s.pending {
-		n += len(q)
+	for _, l := range s.links {
+		n += l.Pending()
 	}
 	return n
 }
@@ -803,29 +528,19 @@ func (s *System) PendingExports() int {
 // central FlowDB without waiting for the next EndEpoch, returning how many
 // epochs were delivered. Epochs that fail again (transiently) stay queued.
 func (s *System) ReExportPending() (int, error) {
-	var all []flowdb.Row
+	delivered := 0
 	var firstErr error
 	for _, site := range s.cfg.Sites {
-		rows, err := func() ([]flowdb.Row, error) {
-			s.shipMu[site].Lock()
-			defer s.shipMu[site].Unlock()
-			batch := s.takePending(site)
-			if len(batch) == 0 {
-				return nil, nil
-			}
-			rows, err := s.ship(site, batch)
-			s.capPending(site)
-			return rows, err
-		}()
-		all = append(all, rows...)
+		n, err := s.links[site].Retry()
+		delivered += n
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	if err := s.DB.InsertBatch(all); err != nil && firstErr == nil {
+	if err := s.DB.InsertBatch(s.takeParked()); err != nil && firstErr == nil {
 		firstErr = err
 	}
-	return len(all), firstErr
+	return delivered, firstErr
 }
 
 // RecoverStats reports what a crash recovery replayed.
@@ -906,12 +621,13 @@ type DiskStats struct {
 
 // DiskStats snapshots the durable tier's counters.
 func (s *System) DiskStats() DiskStats {
+	ls := s.linkStats()
 	st := DiskStats{
 		WALSealErrors: s.walSealErrors.Load(),
-		SpilledEpochs: s.spilledEpochs.Load(),
-		SpilledBytes:  s.spilledBytes.Load(),
-		SpillErrors:   s.spillErrors.Load(),
-		CorruptSpills: s.corruptSpills.Load(),
+		SpilledEpochs: ls.SpilledFrames,
+		SpilledBytes:  ls.SpilledBytes,
+		SpillErrors:   ls.SpillErrors,
+		CorruptSpills: ls.CorruptSpills,
 	}
 	if s.wal != nil {
 		st.WALRecords = s.wal.Records()
