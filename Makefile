@@ -51,13 +51,13 @@ test-race:
 		./internal/hierarchy/ ./internal/federation/ ./internal/uplink/ .
 
 # Hot-path benchmarks: the sort-based bulk fold vs its heap baseline, bulk
-# ingest, structural clone, the streaming source vs the pre-materialized
+# ingest, structural clone, full-frame and delta decode, the streaming source vs the pre-materialized
 # batch path (asserts the >=0.9x envelope), the sharded data-store ingest
 # sweep, the serial-vs-pipelined epoch export grid, and the segmented FlowDB
 # select/FlowQL grids (cold, memoized, and flat-scan baseline) plus the
 # standing-view maintenance path vs cold-Select polling.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkCompress|BenchmarkAddBatch|BenchmarkClone' \
+	$(GO) test -run '^$$' -bench 'BenchmarkCompress|BenchmarkAddBatch|BenchmarkClone|BenchmarkDecode' \
 		-benchtime 1x ./internal/flowtree/
 	$(GO) test -run '^$$' -bench 'BenchmarkFlowSource|BenchmarkRecordCodec' \
 		-benchtime 1x ./internal/flowsource/

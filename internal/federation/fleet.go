@@ -111,6 +111,11 @@ type Fleet struct {
 	DB   *flowdb.DB
 	Root *FleetNode
 
+	// inbox holds the rows top-level hops delivered to the root until the
+	// EndEpoch, ReExportPending or Drain round that shipped them ends: one
+	// InsertBatch per round, however many uplinks delivered concurrently.
+	inbox *uplink.Central
+
 	levels [][]*FleetNode // levels[d] = nodes at depth d, construction order
 	nodes  map[simnet.SiteID]*FleetNode
 	epoch  int
@@ -148,6 +153,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		DB:    flowdb.New(),
 		nodes: make(map[simnet.SiteID]*FleetNode),
 	}
+	fl.inbox = uplink.NewCentral(fl.DB, cfg.CentralBudget, cfg.DeltaExports)
 	fl.Root = &FleetNode{ID: simnet.SiteID(cfg.Central)}
 	fl.nodes[fl.Root.ID] = fl.Root
 	fl.Net.AddSite(fl.Root.ID)
@@ -254,7 +260,8 @@ func (fl *Fleet) Ingest(leaf simnet.SiteID, recs []flow.Record) error {
 // Transient link failures are not errors — the frame queues on the sender
 // and re-ships next epoch (or via ReExportPending), in stream order.
 // Per-node errors within a level are aggregated; the rest of the level and
-// the levels above still run.
+// the levels above still run. Whatever reached the root lands in the FlowDB
+// as one batch at the end, so standing views see one generation per epoch.
 func (fl *Fleet) EndEpoch() error {
 	epochStart := fl.cfg.Start.Add(time.Duration(fl.epoch) * fl.cfg.Epoch)
 	fl.Clock.AdvanceTo(epochStart.Add(fl.cfg.Epoch))
@@ -286,6 +293,9 @@ func (fl *Fleet) EndEpoch() error {
 		wg.Wait() // barrier: parents seal only after the whole level shipped
 	}
 	fl.epoch++
+	if err := fl.inbox.Flush(); err != nil {
+		errs = append(errs, err)
+	}
 	return errors.Join(errs...)
 }
 
@@ -323,25 +333,16 @@ func (fl *Fleet) exportNode(n *FleetNode, epochStart time.Time) error {
 	return err
 }
 
-// deliver is every hop's receiving end: the central site indexes the
-// decoded summary as a FlowDB row, re-compressed to CentralBudget when one
-// is set (a clone when the hop retains the decode as its next delta base);
-// an aggregator merges it into its open-epoch accumulation.
+// deliver is every hop's receiving end: an aggregator merges the decoded
+// summary into its open-epoch accumulation; the central site parks it as a
+// FlowDB row for the round's single InsertBatch.
 func (fl *Fleet) deliver(parent *FleetNode, child simnet.SiteID, start time.Time, width time.Duration, tree *flowtree.Tree) error {
-	if parent != fl.Root {
-		parent.liveMu.Lock()
-		defer parent.liveMu.Unlock()
-		return parent.live.Merge(tree)
+	if parent == fl.Root {
+		return fl.inbox.Deliver(string(child), start, width, tree)
 	}
-	if fl.cfg.CentralBudget > 0 {
-		if fl.cfg.DeltaExports {
-			tree = tree.Clone()
-		}
-		if err := tree.SetBudget(fl.cfg.CentralBudget); err != nil {
-			return err
-		}
-	}
-	return fl.DB.Insert(flowdb.Row{Location: string(child), Start: start, Width: width, Tree: tree})
+	parent.liveMu.Lock()
+	defer parent.liveMu.Unlock()
+	return parent.live.Merge(tree)
 }
 
 // hops visits every uplink, deepest level first.
@@ -419,6 +420,9 @@ func (fl *Fleet) ReExportPending() (int, error) {
 			errs = append(errs, err)
 		}
 	})
+	if err := fl.inbox.Flush(); err != nil {
+		errs = append(errs, err)
+	}
 	return delivered, errors.Join(errs...)
 }
 
@@ -437,28 +441,38 @@ func (fl *Fleet) Drain(maxRounds int) error {
 		if _, err := fl.ReExportPending(); err != nil {
 			return err
 		}
-		// Flush straggler accumulations bottom-up: an aggregator holding
-		// late-delivered child data seals and ships an amendment frame.
-		flushed := 0
-		for d := len(fl.levels) - 2; d >= 1; d-- {
-			for _, n := range fl.levels[d] {
-				n.liveMu.Lock()
-				empty := n.live.Total().IsZero()
-				n.liveMu.Unlock()
-				if empty {
-					continue
-				}
-				if err := fl.exportNode(n, epochStart); err != nil {
-					return err
-				}
-				flushed++
-			}
+		flushed, err := fl.exportStragglers(epochStart)
+		// What the round delivered is indexed even when a node failed.
+		if err = errors.Join(err, fl.inbox.Flush()); err != nil {
+			return err
 		}
 		if flushed == 0 && fl.PendingExports() == 0 {
 			return nil
 		}
 	}
 	return fmt.Errorf("federation: drain incomplete after %d rounds: %d frames pending", maxRounds, fl.PendingExports())
+}
+
+// exportStragglers flushes straggler accumulations bottom-up: an aggregator
+// holding late-delivered child data seals and ships an amendment frame. It
+// returns how many did.
+func (fl *Fleet) exportStragglers(epochStart time.Time) (int, error) {
+	flushed := 0
+	for d := len(fl.levels) - 2; d >= 1; d-- {
+		for _, n := range fl.levels[d] {
+			n.liveMu.Lock()
+			empty := n.live.Total().IsZero()
+			n.liveMu.Unlock()
+			if empty {
+				continue
+			}
+			if err := fl.exportNode(n, epochStart); err != nil {
+				return flushed, err
+			}
+			flushed++
+		}
+	}
+	return flushed, nil
 }
 
 // CentralTree merges every row delivered to central into one tree — the

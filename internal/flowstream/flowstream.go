@@ -140,11 +140,10 @@ type System struct {
 	// queued epoch retention has since evicted is spilled or dropped.
 	links map[string]*uplink.Uplink
 
-	// rowMu guards parked: rows the hops delivered to central, held for the
+	// inbox holds the rows the hops delivered to central for the
 	// single-writer InsertBatch of the EndEpoch or ReExportPending that
 	// shipped them.
-	rowMu  sync.Mutex
-	parked []flowdb.Row
+	inbox *uplink.Central
 
 	// wal is the per-site write-ahead journal (Config.WALDir).
 	wal           *disk.WALSet
@@ -195,6 +194,7 @@ func New(cfg Config) (*System, error) {
 		central: simnet.SiteID(cfg.Central),
 		links:   make(map[string]*uplink.Uplink, len(cfg.Sites)),
 	}
+	s.inbox = uplink.NewCentral(s.DB, cfg.CentralBudget, cfg.DeltaExports)
 	s.Net.AddSite(s.central)
 	for _, site := range cfg.Sites {
 		if site == cfg.Central {
@@ -246,7 +246,7 @@ func New(cfg Config) (*System, error) {
 				return err
 			},
 			Deliver: func(start time.Time, width time.Duration, tree *flowtree.Tree) error {
-				return s.park(site, start, width, tree)
+				return s.inbox.Deliver(site, start, width, tree)
 			},
 			Evict: func(start time.Time, _ uint64) bool {
 				return !store.RetainsEpoch(aggName, start)
@@ -426,7 +426,7 @@ func (s *System) EndEpoch() error {
 	s.epoch++
 	// Single writer: all decoded rows land in FlowDB under one lock
 	// acquisition, appended to their per-location segments.
-	if err := s.DB.InsertBatch(s.takeParked()); err != nil {
+	if err := s.inbox.Flush(); err != nil {
 		return err
 	}
 	for _, err := range errs {
@@ -439,7 +439,7 @@ func (s *System) EndEpoch() error {
 
 // exportSite runs one site's seal -> encode -> ship stage of the epoch
 // pipeline. Epochs still pending from earlier failures ship first,
-// preserving per-site order; delivered rows are parked for the caller.
+// preserving per-site order; delivered rows wait in the inbox for the caller.
 func (s *System) exportSite(site string, epochStart time.Time) error {
 	// SealExport merges the site's shards into one budgeted summary
 	// exactly once — off the registry lock, so ingest keeps flowing —
@@ -466,34 +466,6 @@ func (s *System) exportSite(site string, epochStart time.Time) error {
 	}
 	_, err = s.links[site].Export(ft.Tree(), epochStart, s.cfg.Epoch)
 	return err
-}
-
-// park is every hop's Deliver: it turns one frame decoded at central into
-// a FlowDB row, re-compressed to CentralBudget when one is set. With delta
-// exports the hop retains the decode as the next delta's base, so the row
-// is a clone.
-func (s *System) park(site string, start time.Time, width time.Duration, tree *flowtree.Tree) error {
-	if s.cfg.CentralBudget > 0 {
-		if s.cfg.DeltaExports {
-			tree = tree.Clone()
-		}
-		if err := tree.SetBudget(s.cfg.CentralBudget); err != nil {
-			return err
-		}
-	}
-	s.rowMu.Lock()
-	defer s.rowMu.Unlock()
-	s.parked = append(s.parked, flowdb.Row{Location: site, Start: start, Width: width, Tree: tree})
-	return nil
-}
-
-// takeParked removes and returns the rows awaiting insertion.
-func (s *System) takeParked() []flowdb.Row {
-	s.rowMu.Lock()
-	defer s.rowMu.Unlock()
-	rows := s.parked
-	s.parked = nil
-	return rows
 }
 
 // linkStats sums the export hops' counters over all sites.
@@ -537,7 +509,7 @@ func (s *System) ReExportPending() (int, error) {
 			firstErr = err
 		}
 	}
-	if err := s.DB.InsertBatch(s.takeParked()); err != nil && firstErr == nil {
+	if err := s.inbox.Flush(); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	return delivered, firstErr

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"megadata/internal/flow"
 )
@@ -23,7 +24,8 @@ import (
 //
 // 40 bytes per node regardless of content. Emitted only on request
 // (AppendBinaryV with WireV1); always accepted by Decode for back-compat
-// with stored blobs and old peers.
+// with stored blobs and old peers, in any entry order (early encoders did
+// not sort).
 //
 // Version 2 (current, compact):
 //
@@ -39,6 +41,15 @@ import (
 // most entries ship a handful of bytes instead of 40. AppendBinary and
 // SizeBytes both speak v2; Decode dispatches on the version byte.
 //
+// The stream is canonical and Decode holds it to that, in every version:
+// each entry carries weight (some counter non-zero), each key is its own
+// normalization (no address bits below its prefix, no value behind a
+// wildcard) and appears once — in v2 and v3, strictly ascending. A frame
+// that breaks a rule is ErrCodec, never a tree that would re-encode to
+// different bytes. In exchange the decoded entry list is the tree's wire
+// entry list: the decoder bulk-loads the slab from it and keeps it as the
+// entry cache.
+//
 // Version 3 (delta, epoch-to-epoch):
 //
 //	header | 8-byte base fingerprint | uvarint changed count |
@@ -51,11 +62,13 @@ import (
 // re-weighted keys with their absolute counters, encoded exactly like v2
 // entries (sorted keyLess, prefix-delta keys); removed keys are keys present
 // in the base but absent now, encoded as v2 key diffs without counters.
-// Both lists are strictly sorted. Decoding applies the delta onto the
-// retained base and yields the full tree — see AppendDelta / DecodeDelta in
-// delta.go. Senders fall back to a full v2 frame when churn is too high for
-// the delta to pay or no acked base exists (AppendDeltaOrFull); plain
-// Decode rejects v3 frames because they are meaningless without the base.
+// Both lists are canonical as above. Decoding merge-walks them with the
+// retained base's entry list — a removal must name a base entry, no key may
+// be both changed and removed — and loads the full tree from the result;
+// see AppendDelta / DecodeDelta in delta.go. Senders fall back to a full v2
+// frame when churn is too high for the delta to pay or no acked base exists
+// (AppendDeltaOrFull); plain Decode rejects v3 frames because they are
+// meaningless without the base.
 const (
 	_wireMagic = 0x464C5754 // "FLWT"
 	// WireV1 is the legacy fixed-width wire format (40 bytes/node).
@@ -285,9 +298,12 @@ func (t *Tree) WireSizeBytes(version byte) (uint64, error) {
 // Decode reconstructs a tree from wire data produced by AppendBinary /
 // AppendBinaryV; both wire versions are accepted (the version byte
 // dispatches). The result uses the supplied budget and options; the
-// generalization step is taken from the wire header. Decoding defers
-// aggregate propagation: all own weights land first and the aggregates are
-// rebuilt with one bottom-up pass before the budget is enforced.
+// generalization step is taken from the wire header. Only canonical
+// streams decode — what the encoders emit: weighted entries, normalized
+// keys, no key twice (v2: strictly ascending) — so decode∘encode is the
+// identity on accepted input; anything else is ErrCodec. The tree is
+// bulk-loaded (see load): exact-fit slab, key index deferred, entry cache
+// primed; the budget is enforced once at the end.
 func Decode(src []byte, budget int, opts ...Option) (*Tree, error) {
 	if len(src) < wireHeaderSize {
 		return nil, fmt.Errorf("%w: short header", ErrCodec)
@@ -296,18 +312,17 @@ func Decode(src []byte, budget int, opts ...Option) (*Tree, error) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCodec)
 	}
 	version := src[4]
-	stepBits := src[5]
 	body := src[wireHeaderSize:]
-	opts = append([]Option{WithStepBits(stepBits)}, opts...)
-	t, err := New(budget, opts...)
+	t, err := newTree(budget, src[5], opts)
 	if err != nil {
 		return nil, err
 	}
+	var entries []Entry
 	switch version {
 	case WireV1:
-		err = t.decodeV1(body)
+		entries, err = decodeV1(body)
 	case WireV2:
-		err = t.decodeV2(body)
+		entries, err = decodeV2(body)
 	case WireV3:
 		return nil, fmt.Errorf("%w: v3 is a delta frame and needs the retained base (use DecodeDelta)", ErrCodec)
 	default:
@@ -316,36 +331,47 @@ func Decode(src []byte, budget int, opts ...Option) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.recomputeAgg(rootIdx)
+	t.load(entries)
 	t.maybeCompress()
 	return t, nil
 }
 
-func (t *Tree) decodeV1(src []byte) error {
+// decodeV1 parses a v1 body into the canonical entry list. Blobs written
+// before the encoder sorted its output are in arbitrary order, so the list
+// is sorted here; a key twice or a zero weight is still malformed.
+func decodeV1(src []byte) ([]Entry, error) {
 	if len(src) < 8 {
-		return fmt.Errorf("%w: short header", ErrCodec)
+		return nil, fmt.Errorf("%w: short header", ErrCodec)
 	}
 	count := binary.BigEndian.Uint64(src)
 	src = src[8:]
-	if uint64(len(src)) != count*nodeWireSizeV1 {
-		return fmt.Errorf("%w: body is %d bytes, want %d", ErrCodec, len(src), count*nodeWireSizeV1)
+	if count > uint64(len(src))/nodeWireSizeV1 || uint64(len(src)) != count*nodeWireSizeV1 {
+		return nil, fmt.Errorf("%w: body is %d bytes for %d entries", ErrCodec, len(src), count)
 	}
+	entries := make([]Entry, 0, count)
 	for i := uint64(0); i < count; i++ {
 		key, n, err := flow.KeyFromBinary(src)
 		if err != nil {
-			return fmt.Errorf("%w: %v", ErrCodec, err)
+			return nil, fmt.Errorf("%w: %v", ErrCodec, err)
 		}
 		src = src[n:]
-		c := flow.Counters{
+		entries = append(entries, Entry{Key: key, Counters: flow.Counters{
 			Packets: binary.BigEndian.Uint64(src[0:]),
 			Bytes:   binary.BigEndian.Uint64(src[8:]),
 			Flows:   binary.BigEndian.Uint64(src[16:]),
-		}
+		}})
 		src = src[24:]
-		ni := t.ensure(key)
-		t.slab[ni].own.Add(c)
 	}
-	return nil
+	slices.SortFunc(entries, cmpEntryKeys)
+	for i, e := range entries {
+		if e.Counters.IsZero() {
+			return nil, fmt.Errorf("%w: entry with zero weight", ErrCodec)
+		}
+		if i > 0 && entries[i-1].Key == e.Key {
+			return nil, fmt.Errorf("%w: key %v twice", ErrCodec, e.Key)
+		}
+	}
+	return entries, nil
 }
 
 // v2Reader consumes the v2 body with bounds checking.
@@ -446,34 +472,65 @@ func (r *v2Reader) key(prev flow.Key) flow.Key {
 	return k
 }
 
-func (t *Tree) decodeV2(src []byte) error {
-	r := &v2Reader{src: src}
-	count := r.uvarint()
+// canonicalKey decodes one key against prev and enforces the canonical
+// stream rules shared by v2 entries and both v3 lists: the key is its own
+// normalization and, unless first, sorts strictly after prev.
+func (r *v2Reader) canonicalKey(prev flow.Key, first bool) flow.Key {
+	k := r.key(prev)
 	if r.err != nil {
-		return r.err
+		return k
 	}
+	switch {
+	case k != k.Normalized():
+		r.err = fmt.Errorf("%w: key %v not normalized", ErrCodec, k)
+	case !first && !keyLess(prev, k):
+		r.err = fmt.Errorf("%w: keys out of order", ErrCodec)
+	}
+	return k
+}
+
+// entries decodes count v2 entries into a canonical list: normalized keys
+// strictly ascending in keyLess, every weight non-zero.
+func (r *v2Reader) entries(count uint64) []Entry {
 	// Each entry is at least 4 bytes (flags + three counter uvarints);
-	// reject counts that cannot fit before allocating anything per entry.
-	if count > uint64(len(r.src))/4 {
-		return fmt.Errorf("%w: %d entries cannot fit in %d bytes", ErrCodec, count, len(r.src))
+	// reject counts that cannot fit before allocating per entry.
+	if r.err == nil && count > uint64(len(r.src))/4 {
+		r.err = fmt.Errorf("%w: %d entries cannot fit in %d bytes", ErrCodec, count, len(r.src))
 	}
+	if r.err != nil {
+		return nil
+	}
+	out := make([]Entry, 0, count)
 	var prev flow.Key
 	for i := uint64(0); i < count; i++ {
-		k := r.key(prev)
+		k := r.canonicalKey(prev, i == 0)
 		c := flow.Counters{
 			Packets: r.uvarint(),
 			Bytes:   r.uvarint(),
 			Flows:   r.uvarint(),
 		}
-		if r.err != nil {
-			return r.err
+		if r.err == nil && c.IsZero() {
+			r.err = fmt.Errorf("%w: entry with zero weight", ErrCodec)
 		}
-		ni := t.ensure(k.Normalized())
-		t.slab[ni].own.Add(c)
+		if r.err != nil {
+			return nil
+		}
+		out = append(out, Entry{Key: k, Counters: c})
 		prev = k
 	}
-	if len(r.src) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCodec, len(r.src))
+	return out
+}
+
+// end reports the reader's error, or trailing bytes after a complete body.
+func (r *v2Reader) end() error {
+	if r.err == nil && len(r.src) != 0 {
+		r.err = fmt.Errorf("%w: %d trailing bytes", ErrCodec, len(r.src))
 	}
-	return nil
+	return r.err
+}
+
+func decodeV2(src []byte) ([]Entry, error) {
+	r := &v2Reader{src: src}
+	entries := r.entries(r.uvarint())
+	return entries, r.end()
 }

@@ -2,6 +2,7 @@ package flowtree
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -155,6 +156,13 @@ func TestDecodeV2Malformed(t *testing.T) {
 	good := tr.AppendBinary(nil)
 	if _, err := Decode(good, 0); err != nil {
 		t.Fatalf("good blob: %v", err)
+	}
+	// Non-canonical streams: what a conforming encoder never emits and what
+	// would make decode∘encode lose nodes or sum weights silently.
+	for _, seed := range nonCanonicalV2() {
+		if _, err := Decode(seed.data, 0); !errors.Is(err, ErrCodec) {
+			t.Errorf("%s (% x): err = %v, want ErrCodec", seed.name, seed.data[wireHeaderSize:], err)
+		}
 	}
 	for name, mut := range map[string]func([]byte) []byte{
 		"truncated body":   func(b []byte) []byte { return b[:len(b)-2] },

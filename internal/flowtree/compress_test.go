@@ -299,3 +299,64 @@ func BenchmarkClone(b *testing.B) {
 		_ = base.Clone()
 	}
 }
+
+// decodeBenchTree is a 4096-budget aggregator summary compressed to its
+// 3072-node steady state — the frame the fleet's top-level hops carry.
+func decodeBenchTree(tb testing.TB) *Tree {
+	tb.Helper()
+	tr := buildSkewedTree(tb, 100000, 1.2)
+	tr.CompressTo(3072)
+	return tr
+}
+
+// lowChurnDelta returns a receiver-side base (decoded, as a receiver holds
+// it) and a v3 frame re-weighting one entry in fifty against it.
+func lowChurnDelta(tb testing.TB, sender *Tree) (base *Tree, frame []byte) {
+	tb.Helper()
+	base, err := Decode(sender.AppendBinary(nil), 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cur := sender.Clone()
+	for i, e := range cur.Entries() {
+		if i%50 == 0 {
+			cur.AddCounters(e.Key, flow.Counters{Packets: 1, Bytes: 100, Flows: 1})
+		}
+	}
+	if frame, err = cur.AppendDelta(nil, sender); err != nil {
+		tb.Fatal(err)
+	}
+	return base, frame
+}
+
+// BenchmarkDecode prices receiving a full v2 frame, per node of the
+// resulting tree (the ledger's flowtree.decode_ns_per_node).
+func BenchmarkDecode(b *testing.B) {
+	wire := decodeBenchTree(b).AppendBinary(nil)
+	var tr *Tree
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if tr, err = Decode(wire, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tr.Len()), "ns/node")
+}
+
+// BenchmarkDecodeDelta prices applying a low-churn v3 frame onto the
+// retained base, per node of the resulting tree.
+func BenchmarkDecodeDelta(b *testing.B) {
+	base, frame := lowChurnDelta(b, decodeBenchTree(b))
+	var tr *Tree
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if tr, err = DecodeDelta(frame, base, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tr.Len()), "ns/node")
+}

@@ -151,7 +151,8 @@ func (t *Tree) AppendDeltaOrFull(dst []byte, base *Tree, maxChurn float64) ([]by
 // which is never modified). Full v1/v2 frames decode as usual with base
 // ignored, so a receive loop can feed every frame through DecodeDelta. A v3
 // frame whose fingerprint does not match base fails with ErrDeltaBase; the
-// result uses the supplied budget and options like Decode.
+// result uses the supplied budget and options like Decode, and both lists
+// of the frame must be canonical (see Decode).
 func DecodeDelta(src []byte, base *Tree, budget int, opts ...Option) (*Tree, error) {
 	if len(src) < wireHeaderSize {
 		return nil, fmt.Errorf("%w: short header", ErrCodec)
@@ -179,100 +180,72 @@ func DecodeDelta(src []byte, base *Tree, budget int, opts ...Option) (*Tree, err
 	}
 
 	r := &v2Reader{src: body[deltaHashSize:]}
-	changedCount := r.uvarint()
-	if r.err != nil {
-		return nil, r.err
-	}
-	// A changed entry is at least 4 bytes (flags + three counter uvarints);
-	// reject counts that cannot fit before allocating per entry.
-	if changedCount > uint64(len(r.src))/4 {
-		return nil, fmt.Errorf("%w: %d changed entries cannot fit in %d bytes", ErrCodec, changedCount, len(r.src))
-	}
-	changed := make([]Entry, 0, changedCount)
-	var prev flow.Key
-	for i := uint64(0); i < changedCount; i++ {
-		k := r.key(prev)
-		c := flow.Counters{
-			Packets: r.uvarint(),
-			Bytes:   r.uvarint(),
-			Flows:   r.uvarint(),
-		}
-		if r.err != nil {
-			return nil, r.err
-		}
-		if i > 0 && !keyLess(prev, k) {
-			return nil, fmt.Errorf("%w: changed entries out of order", ErrCodec)
-		}
-		if c.IsZero() {
-			return nil, fmt.Errorf("%w: changed entry with zero weight (should be a removal)", ErrCodec)
-		}
-		changed = append(changed, Entry{Key: k.Normalized(), Counters: c})
-		prev = k
-	}
+	changed := r.entries(r.uvarint())
 	removedCount := r.uvarint()
+	// A removed key is at least 1 byte (its flags).
+	if r.err == nil && removedCount > uint64(len(r.src)) {
+		r.err = fmt.Errorf("%w: %d removed keys cannot fit in %d bytes", ErrCodec, removedCount, len(r.src))
+	}
 	if r.err != nil {
 		return nil, r.err
-	}
-	// A removed key is at least 1 byte (its flags).
-	if removedCount > uint64(len(r.src)) {
-		return nil, fmt.Errorf("%w: %d removed keys cannot fit in %d bytes", ErrCodec, removedCount, len(r.src))
 	}
 	removed := make([]flow.Key, 0, removedCount)
-	prev = flow.Key{}
-	for i := uint64(0); i < removedCount; i++ {
-		k := r.key(prev)
-		if r.err != nil {
-			return nil, r.err
-		}
-		if i > 0 && !keyLess(prev, k) {
-			return nil, fmt.Errorf("%w: removed keys out of order", ErrCodec)
-		}
-		removed = append(removed, k.Normalized())
-		prev = k
+	var prev flow.Key
+	for i := uint64(0); i < removedCount && r.err == nil; i++ {
+		prev = r.canonicalKey(prev, i == 0)
+		removed = append(removed, prev)
 	}
-	if len(r.src) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCodec, len(r.src))
+	if err := r.end(); err != nil {
+		return nil, err
 	}
-
-	// Validate the delta against the base's entry set: removals must name
-	// base entries, and a key cannot be both removed and changed.
-	baseEntries := base.wireEntries()
-	baseKeys := make(map[flow.Key]bool, len(baseEntries))
-	for _, e := range baseEntries {
-		baseKeys[e.Key] = true
-	}
-	removedSet := make(map[flow.Key]bool, len(removed))
-	for _, k := range removed {
-		if !baseKeys[k] {
-			return nil, fmt.Errorf("%w: removed key %v absent from base", ErrCodec, k)
-		}
-		removedSet[k] = true
-	}
-	replaced := make(map[flow.Key]bool, len(changed))
-	for _, e := range changed {
-		if removedSet[e.Key] {
-			return nil, fmt.Errorf("%w: key %v both changed and removed", ErrCodec, e.Key)
-		}
-		replaced[e.Key] = true
-	}
-
-	opts = append([]Option{WithStepBits(stepBits)}, opts...)
-	t, err := New(budget, opts...)
+	entries, err := applyDelta(base.wireEntries(), changed, removed)
 	if err != nil {
 		return nil, err
 	}
-	for _, e := range baseEntries {
-		if removedSet[e.Key] || replaced[e.Key] {
-			continue
-		}
-		ni := t.ensure(e.Key)
-		t.slab[ni].own.Add(e.Counters)
+	t, err := newTree(budget, stepBits, opts)
+	if err != nil {
+		return nil, err
 	}
-	for _, e := range changed {
-		ni := t.ensure(e.Key)
-		t.slab[ni].own.Add(e.Counters)
-	}
-	t.recomputeAgg(rootIdx)
+	t.load(entries)
 	t.maybeCompress()
 	return t, nil
+}
+
+// applyDelta is diffEntries' inverse: one merge-walk over the base's entry
+// list, the changed entries and the removed keys (all three strictly
+// ascending in keyLess) that emits the resulting tree's entries in wire
+// order. A removal must name a base entry, and a key cannot be both
+// changed and removed.
+func applyDelta(base, changed []Entry, removed []flow.Key) ([]Entry, error) {
+	if len(removed) > len(base) {
+		return nil, fmt.Errorf("%w: %d removals from a %d-entry base", ErrCodec, len(removed), len(base))
+	}
+	out := make([]Entry, 0, len(base)-len(removed)+len(changed))
+	c, r := 0, 0
+	for _, b := range base {
+		for c < len(changed) && keyLess(changed[c].Key, b.Key) {
+			out = append(out, changed[c])
+			c++
+		}
+		if r < len(removed) && keyLess(removed[r], b.Key) {
+			break // sorts before b and matched nothing: not a base entry
+		}
+		drop := r < len(removed) && removed[r] == b.Key
+		replace := c < len(changed) && changed[c].Key == b.Key
+		switch {
+		case drop && replace:
+			return nil, fmt.Errorf("%w: key %v both changed and removed", ErrCodec, b.Key)
+		case drop:
+			r++
+		case replace:
+			out = append(out, changed[c])
+			c++
+		default:
+			out = append(out, b)
+		}
+	}
+	if r < len(removed) {
+		return nil, fmt.Errorf("%w: removed key %v absent from base", ErrCodec, removed[r])
+	}
+	return append(out, changed[c:]...), nil
 }

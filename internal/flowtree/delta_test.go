@@ -187,6 +187,13 @@ func TestDecodeDeltaErrors(t *testing.T) {
 	if _, err := DecodeDelta(frame[:wireHeaderSize+3], base, 0); !errors.Is(err, ErrCodec) {
 		t.Error("short delta body must be ErrCodec")
 	}
+	// Non-canonical changed and removed lists behind a matching
+	// fingerprint, and a non-canonical v2 frame on the pass-through path.
+	for _, seed := range append(nonCanonicalV3(base), nonCanonicalV2()...) {
+		if _, err := DecodeDelta(seed.data, base, 0); !errors.Is(err, ErrCodec) {
+			t.Errorf("%s: err = %v, want ErrCodec", seed.name, err)
+		}
+	}
 	// Step-bits mismatch between frame and base.
 	stepped, err := New(0, WithStepBits(4))
 	if err != nil {

@@ -93,6 +93,26 @@ func (p *diffPair) assertEqual(t *testing.T, ctx string) {
 	}
 }
 
+// assertLoaded pins what the bulk loader leaves behind, given the sender's
+// v2 bytes: an exact-fit slab with no free slots, the key index deferred,
+// the entry cache primed, and a re-encoding equal to what was sent.
+func assertLoaded(t *testing.T, ctx string, dec *Tree, senderV2 []byte) {
+	t.Helper()
+	if cap(dec.slab) != len(dec.slab) || len(dec.slab) != dec.Len() || len(dec.free) != 0 {
+		t.Fatalf("%s: slab len %d cap %d for %d nodes (%d free): not exact-fit",
+			ctx, len(dec.slab), cap(dec.slab), dec.Len(), len(dec.free))
+	}
+	if dec.nodes != nil {
+		t.Fatalf("%s: decode materialized the key index", ctx)
+	}
+	if !dec.entriesOK {
+		t.Fatalf("%s: decode left the entry cache cold", ctx)
+	}
+	if !bytes.Equal(dec.AppendBinary(nil), senderV2) {
+		t.Fatalf("%s: decoded tree re-encodes differently from the sender", ctx)
+	}
+}
+
 // genRecords returns deterministic skewed records for a sequence step.
 func diffRecords(t *testing.T, seed int64, n int) []flow.Record {
 	t.Helper()
@@ -118,8 +138,11 @@ func generalize(key flow.Key, steps int, stepBits uint8) flow.Key {
 // TestDifferentialOpSequences drives randomized op sequences through both
 // implementations: Add, AddBatch, AddCounters at generalized keys, Merge,
 // MergeAll, Diff, CompressTo, Clone, SetBudget, full encode/decode
-// replacement, and v3 delta frames against snapshotted bases. Several
-// seeds × budgets, exact equality after every op.
+// replacement, and v3 delta frames against snapshotted bases. Every decode
+// is followed by one mutation from a rotating list, so each mutator meets a
+// freshly bulk-loaded slab (exact-fit, index deferred, cache primed) and
+// not only one that ingest grew. Several seeds × budgets, exact equality
+// after every op.
 func TestDifferentialOpSequences(t *testing.T) {
 	configs := []struct {
 		name   string
@@ -149,8 +172,15 @@ func TestDifferentialOpSequences(t *testing.T) {
 				// refreshed occasionally by the delta op.
 				var baseA *Tree
 				var baseRE []Entry
+				// after is the op forced right after a decode: Add, AddBatch,
+				// Merge, CompressTo, SetBudget, Diff, Clone in turn.
+				mutators := []int{0, 1, 3, 5, 7, 4, 6}
+				after, decodes := -1, 0
 				for op := 0; op < ops; op++ {
 					kind := rng.Intn(10)
+					if after >= 0 {
+						kind, after = after, -1
+					}
 					ctx := fmt.Sprintf("op %d (kind %d)", op, kind)
 					switch kind {
 					case 0: // single record
@@ -241,8 +271,16 @@ func TestDifferentialOpSequences(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: decode: %v", ctx, err)
 						}
+						re := p.r.entries()
+						if budget == 0 || refFromEntries(re, 0, p.a.stepBits, p.a.score).len() <= budget {
+							assertLoaded(t, ctx, dec, p.a.AppendBinary(nil))
+						} else if dec.nodes != nil {
+							t.Fatalf("%s: budgeted decode materialized the key index", ctx)
+						}
 						p.a = dec
-						p.r = refFromEntries(p.r.entries(), budget, p.a.stepBits, p.a.score)
+						p.r = refFromEntries(re, budget, p.a.stepBits, p.a.score)
+						after = mutators[decodes%len(mutators)]
+						decodes++
 					case 9: // v3 delta against the snapshotted base
 						if baseA == nil {
 							baseA = p.a.Clone()
@@ -260,10 +298,20 @@ func TestDifferentialOpSequences(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: delta apply: %v", ctx, err)
 						}
+						assertLoaded(t, ctx, dec, p.a.AppendBinary(nil))
 						applied := &diffPair{a: dec, r: refFromEntries(p.r.entries(), 0, p.a.stepBits, p.a.score)}
 						applied.assertEqual(t, ctx+" (delta applied)")
-						baseA = p.a.Clone()
+						// The applied tree is the receiver's next base, as on a
+						// real hop; half the time the sequence also continues
+						// on it (unbudgeted, like every receiver-side decode).
+						baseA = dec
 						baseRE = p.r.entries()
+						if rng.Intn(2) == 0 {
+							p = applied
+							baseA = dec.Clone()
+						}
+						after = mutators[decodes%len(mutators)]
+						decodes++
 					}
 					p.assertEqual(t, ctx)
 				}

@@ -30,8 +30,14 @@
 //   - slab[0] is the root; it is never folded, freed or re-parented.
 //   - A slot is live iff its depth is >= 0; the live count is tracked
 //     (Len), and the live slots are exactly the values of the key index —
-//     which is itself deferred after Clone and materialized from the slab
-//     on first need, so read-only snapshot clones never build it.
+//     which is itself deferred after Clone and after a wire decode and
+//     materialized from the slab on first need, so read-only snapshot
+//     clones and received summaries never build it. Materializing is a
+//     write, as is filling a cold entry cache: a tree shared between
+//     readers (a FlowDB row that is also a hop's delta base) must only see
+//     the operations that need neither — being a Merge/MergeAll/Diff
+//     source, Query, TopK, AboveX, HHH, Clone and, on a primed cache (as a
+//     decode leaves it), Entries, the encoders and DeltaHash.
 //   - Folded slots are marked depth = -1 and pushed onto the free list;
 //     ensure reuses them (retaining their child-array capacity) before
 //     growing the slab. Free slots are never reachable from a live node.
@@ -40,7 +46,14 @@
 //     the (tiny) fanout instead of hashing.
 //   - Bulk folds that discard most of the tree rebuild a compact slab of
 //     the survivors (and reset the free list), handing the memory of
-//     one-shot decode/fan-in spikes back instead of pinning it.
+//     one-shot fan-in spikes back instead of pinning it.
+//   - A decoded tree (Decode, DecodeDelta) is bulk-loaded, not grown: the
+//     slab is exact-fit (len == cap == Len, no free slots), every child
+//     array is a window of one shared backing array, the key index is
+//     deferred and the entry cache below is primed with the list that came
+//     off the wire. Nothing a receiver retains is slack. The decoders
+//     accept canonical streams only — weighted entries, normalized keys,
+//     strictly ascending — so that list is the tree's, as is.
 //
 // Because slab indices survive append-growth where interior pointers would
 // not, mutation code holds indices across allocations and only materializes
@@ -59,10 +72,12 @@
 // prefix is exactly the fold set of the incremental least-popular-leaf
 // cascade; see CompressTo.
 //
-// Batch paths (AddBatch, Merge, MergeAll, Clone, Decode) defer aggregate
-// propagation: own weights are applied first and the aggregate annotations
-// are rebuilt with a single bottom-up pass when that is cheaper than walking
-// the ancestor chain per record, then the budget is enforced once.
+// Batch paths (AddBatch, Merge, MergeAll) defer aggregate propagation: own
+// weights are applied first and the aggregate annotations are rebuilt with
+// a single bottom-up pass when that is cheaper than walking the ancestor
+// chain per record, then the budget is enforced once. The decoders always
+// do: a loaded slab has parents before children, so its aggregates are one
+// reverse sweep.
 //
 // The sorted entry list the wire codecs encode against (Entries,
 // AppendBinary, SizeBytes, DeltaHash) is cached and invalidated on
@@ -162,26 +177,9 @@ type Tree struct {
 
 // New builds a Flowtree with a node budget (0 = unlimited).
 func New(budget int, opts ...Option) (*Tree, error) {
-	if budget < 0 {
-		return nil, errors.New("flowtree: budget must be >= 0")
-	}
-	t := &Tree{
-		budget:         budget,
-		stepBits:       8,
-		compressTarget: 0.75,
-		score:          flow.ScoreBytes,
-	}
-	for _, opt := range opts {
-		opt(t)
-	}
-	if t.stepBits == 0 || t.stepBits > 32 {
-		return nil, fmt.Errorf("flowtree: step bits %d out of range", t.stepBits)
-	}
-	if t.compressTarget <= 0 || t.compressTarget > 1 {
-		return nil, errors.New("flowtree: compress target must be in (0,1]")
-	}
-	if budget > 0 && budget < 2 {
-		return nil, errors.New("flowtree: budget must be at least 2 nodes")
+	t, err := newTree(budget, 8, opts)
+	if err != nil {
+		return nil, err
 	}
 	// Budgeted trees fill to their budget (plus a transient overshoot
 	// between batch compressions); pre-sizing the slab and the node index
@@ -198,6 +196,34 @@ func New(budget int, opts ...Option) (*Tree, error) {
 	t.nodes = make(map[flow.Key]int32, hint)
 	t.nodes[t.slab[rootIdx].key] = rootIdx
 	t.live = 1
+	return t, nil
+}
+
+// newTree validates a configuration and returns the tree without a slab:
+// New gives it a growable one, the wire decoders an exact-fit one (load).
+// stepBits is the default the options may override.
+func newTree(budget int, stepBits uint8, opts []Option) (*Tree, error) {
+	if budget < 0 {
+		return nil, errors.New("flowtree: budget must be >= 0")
+	}
+	t := &Tree{
+		budget:         budget,
+		stepBits:       stepBits,
+		compressTarget: 0.75,
+		score:          flow.ScoreBytes,
+	}
+	for _, opt := range opts {
+		opt(t)
+	}
+	if t.stepBits == 0 || t.stepBits > 32 {
+		return nil, fmt.Errorf("flowtree: step bits %d out of range", t.stepBits)
+	}
+	if t.compressTarget <= 0 || t.compressTarget > 1 {
+		return nil, errors.New("flowtree: compress target must be in (0,1]")
+	}
+	if budget > 0 && budget < 2 {
+		return nil, errors.New("flowtree: budget must be at least 2 nodes")
+	}
 	return t, nil
 }
 
@@ -635,43 +661,15 @@ func (t *Tree) compressRebuild(items []foldItem, k, target int) {
 	// folds every descendant of a folded node, so the parent always
 	// survives; under a non-monotone score it may not — reattach to the
 	// nearest surviving ancestor (the root always survives) rather than
-	// detach the subtree. Child arrays are rebuilt into one shared backing
-	// array, then sorted per parent.
-	counts := make([]int32, len(next))
+	// detach the subtree.
 	for j := 1; j < len(next); j++ {
 		p := next[j].parent
 		for old[p].depth < 0 {
 			p = old[p].parent
 		}
 		next[j].parent = remap[p]
-		counts[remap[p]]++
 	}
-	backing := make([]int32, len(next)-1)
-	off := int32(0)
-	for j := range next {
-		n := int32(counts[j])
-		if n == 0 {
-			next[j].children = nil
-			continue
-		}
-		next[j].children = backing[off : off : off+n]
-		off += n
-	}
-	for j := 1; j < len(next); j++ {
-		p := next[j].parent
-		next[p].children = append(next[p].children, int32(j))
-	}
-	for j := range next {
-		kids := next[j].children
-		if len(kids) > 1 {
-			slices.SortFunc(kids, func(a, b int32) int {
-				if keyLess(next[a].key, next[b].key) {
-					return -1
-				}
-				return 1
-			})
-		}
-	}
+	linkChildren(next)
 	// Refill the index. Clearing retains its storage; only a drastically
 	// oversized index is dropped for a right-sized one, so one-shot bulk
 	// folds (decode, seal fan-in) hand the memory back while the steady
@@ -693,6 +691,42 @@ func (t *Tree) compressRebuild(items []foldItem, k, target int) {
 	t.slab = next
 	t.live = len(next)
 	t.free = t.free[:0]
+}
+
+// linkChildren rebuilds every child array of a compact slab (no dead slots,
+// parent links valid) out of one shared backing array, sorted per parent —
+// two allocations however many interior nodes there are.
+func linkChildren(slab []node) {
+	counts := make([]int32, len(slab))
+	for j := 1; j < len(slab); j++ {
+		counts[slab[j].parent]++
+	}
+	backing := make([]int32, len(slab)-1)
+	off := int32(0)
+	for j := range slab {
+		n := counts[j]
+		if n == 0 {
+			slab[j].children = nil
+			continue
+		}
+		slab[j].children = backing[off : off : off+n]
+		off += n
+	}
+	for j := 1; j < len(slab); j++ {
+		p := slab[j].parent
+		slab[p].children = append(slab[p].children, int32(j))
+	}
+	for j := range slab {
+		kids := slab[j].children
+		if len(kids) > 1 {
+			slices.SortFunc(kids, func(a, b int32) int {
+				if keyLess(slab[a].key, slab[b].key) {
+					return -1
+				}
+				return 1
+			})
+		}
+	}
 }
 
 // compressCascade is the order-robust fallback fold: round by round, the
@@ -1044,6 +1078,18 @@ func keyLess(a, b flow.Key) bool {
 		return !a.WildSrcPort
 	default:
 		return !a.WildDstPort && b.WildDstPort
+	}
+}
+
+// cmpEntryKeys orders entries by keyLess (the wire order).
+func cmpEntryKeys(a, b Entry) int {
+	switch {
+	case keyLess(a.Key, b.Key):
+		return -1
+	case keyLess(b.Key, a.Key):
+		return 1
+	default:
+		return 0
 	}
 }
 

@@ -10,12 +10,69 @@ import (
 	"megadata/internal/workload"
 )
 
+// nonCanonicalLists are entry lists a conforming encoder never emits, one
+// per rule of the canonical stream (weighted entries, normalized keys,
+// strictly ascending): the decoders must refuse each as ErrCodec, in a v2
+// body and in either list of a v3 frame. The first two encode as v2 to the
+// frames `01 00 00 00 00` and `02 00 01 01 01 00 01 01 01` behind the header.
+func nonCanonicalLists() []struct {
+	name    string
+	entries []Entry
+} {
+	w := flow.Counters{Packets: 1, Bytes: 1, Flows: 1}
+	a := flow.Exact(flow.ProtoTCP, 0x0a000001, 0xc0a80001, 1000, 80)
+	b := a
+	b.DstIP++ // sorts after a
+	loose := a
+	loose.SrcPrefix = 8 // address bits left below the mask
+	return []struct {
+		name    string
+		entries []Entry
+	}{
+		{"zero_weight", []Entry{{}}},
+		{"duplicate_key", []Entry{{Counters: w}, {Counters: w}}},
+		{"unsorted", []Entry{{Key: b, Counters: w}, {Key: a, Counters: w}}},
+		{"unnormalized", []Entry{{Key: loose, Counters: w}}},
+	}
+}
+
+// nonCanonicalV2 encodes each list as a full v2 frame.
+func nonCanonicalV2() []corpusSeed {
+	var seeds []corpusSeed
+	for _, l := range nonCanonicalLists() {
+		seeds = append(seeds, corpusSeed{"seed_v2_" + l.name, refEncodeV2(l.entries, 8)})
+	}
+	return seeds
+}
+
+// nonCanonicalV3 encodes each list as the changed list, and its keys as the
+// removed list (where a weight-free list can carry the defect), of a v3
+// frame whose fingerprint matches base.
+func nonCanonicalV3(base *Tree) []corpusSeed {
+	var seeds []corpusSeed
+	for _, l := range nonCanonicalLists() {
+		seeds = append(seeds, corpusSeed{"seed_delta_changed_" + l.name,
+			base.appendDelta(nil, base, treeDelta{changed: l.entries})})
+		if l.name == "zero_weight" {
+			continue
+		}
+		var keys []flow.Key
+		for _, e := range l.entries {
+			keys = append(keys, e.Key)
+		}
+		seeds = append(seeds, corpusSeed{"seed_delta_removed_" + l.name,
+			base.appendDelta(nil, base, treeDelta{removed: keys})})
+	}
+	return seeds
+}
+
 // fuzzTreeSeeds builds the in-code seed corpus of FuzzDecodeTree: both wire
 // versions of a real tree, an empty tree, structurally broken variants, and
 // frames from trees that went through the slab's bulk machinery — a
 // compressed tree (gapped generalization chains from rebuild reattachment)
 // and a compressed-then-regrown tree (free-list slot reuse) — so budgeted
-// re-decodes start from material that exercises those paths. The checked-in
+// re-decodes start from material that exercises those paths — plus the
+// non-canonical frames the decoder must refuse. The checked-in
 // files under testdata/fuzz/FuzzDecodeTree mirror these
 // (TestWriteTreeFuzzCorpus regenerates them).
 func fuzzTreeSeeds(tb testing.TB) []corpusSeed {
@@ -52,19 +109,19 @@ func fuzzTreeSeeds(tb testing.TB) []corpusSeed {
 	regrown.AddBatch(g.Records(80))
 	badVersion := append([]byte{}, v2[:wireHeaderSize]...)
 	badVersion[4] = 99
-	return []corpusSeed{
-		{"seed_v1", v1},
-		{"seed_v2", v2},
-		{"seed_v2_step4", step4.AppendBinary(nil)},
-		{"seed_empty", empty.AppendBinary(nil)},
-		{"seed_v2_truncated", v2[:len(v2)/2]},
-		{"seed_header_only", v2[:wireHeaderSize]},
-		{"seed_bad_magic", append([]byte{}, 0, 0, 0, 0, 0, 0)},
-		{"seed_bad_version", badVersion},
-		{"seed_v2_compressed", compressed.AppendBinary(nil)},
-		{"seed_v1_compressed_regrown", mustV1(tb, regrown)},
-		{"seed_v2_compressed_regrown", regrown.AppendBinary(nil)},
-	}
+	return append(nonCanonicalV2(),
+		corpusSeed{"seed_v1", v1},
+		corpusSeed{"seed_v2", v2},
+		corpusSeed{"seed_v2_step4", step4.AppendBinary(nil)},
+		corpusSeed{"seed_empty", empty.AppendBinary(nil)},
+		corpusSeed{"seed_v2_truncated", v2[:len(v2)/2]},
+		corpusSeed{"seed_header_only", v2[:wireHeaderSize]},
+		corpusSeed{"seed_bad_magic", append([]byte{}, 0, 0, 0, 0, 0, 0)},
+		corpusSeed{"seed_bad_version", badVersion},
+		corpusSeed{"seed_v2_compressed", compressed.AppendBinary(nil)},
+		corpusSeed{"seed_v1_compressed_regrown", mustV1(tb, regrown)},
+		corpusSeed{"seed_v2_compressed_regrown", regrown.AppendBinary(nil)},
+	)
 }
 
 func mustV1(tb testing.TB, tr *Tree) []byte {
@@ -145,7 +202,8 @@ type corpusSeed struct {
 // real delta against the fuzz base (mutations plus compression folds, so
 // both the changed and removed lists are populated), an empty delta, a
 // delta with a corrupted base fingerprint, structurally broken variants,
-// and a full v2 frame for the pass-through path. The checked-in files under
+// non-canonical changed and removed lists, and full v2 frames (one of them
+// non-canonical) for the pass-through path. The checked-in files under
 // testdata/fuzz/FuzzDecodeTreeDelta mirror these (TestWriteDeltaFuzzCorpus
 // regenerates them).
 func deltaFuzzSeeds(tb testing.TB) []corpusSeed {
@@ -169,14 +227,14 @@ func deltaFuzzSeeds(tb testing.TB) []corpusSeed {
 	}
 	badHash := append([]byte{}, delta...)
 	badHash[wireHeaderSize] ^= 0xff
-	return []corpusSeed{
-		{"seed_delta", delta},
-		{"seed_delta_empty", empty},
-		{"seed_delta_badhash", badHash},
-		{"seed_delta_truncated", delta[:len(delta)/2]},
-		{"seed_delta_header_only", delta[:wireHeaderSize]},
-		{"seed_v2_passthrough", cur.AppendBinary(nil)},
-	}
+	return append(append(nonCanonicalV3(base), nonCanonicalV2()[0]),
+		corpusSeed{"seed_delta", delta},
+		corpusSeed{"seed_delta_empty", empty},
+		corpusSeed{"seed_delta_badhash", badHash},
+		corpusSeed{"seed_delta_truncated", delta[:len(delta)/2]},
+		corpusSeed{"seed_delta_header_only", delta[:wireHeaderSize]},
+		corpusSeed{"seed_v2_passthrough", cur.AppendBinary(nil)},
+	)
 }
 
 // FuzzDecodeTreeDelta hammers the v3 delta decoder: DecodeDelta must never

@@ -8,6 +8,8 @@
 // differs between them is passed in as three closures: how bytes cross the
 // link (Transfer), what the receiver does with a decoded summary (Deliver)
 // and when a frame the link left behind loses its in-memory slot (Evict).
+// The hops that end at the central FlowDB share their Deliver as well:
+// Central parks their rows for one InsertBatch per export round.
 package uplink
 
 import (
