@@ -1,25 +1,20 @@
 # Tier-1 verify is `make check` (build + vet + test); `make test-race`
-# additionally runs the concurrent ingest, streaming-source, network
-# serving, epoch-export, hierarchy-rollup, federation and durable-storage
-# paths under the race detector. `make bench` runs the hot-path benchmarks (Flowtree compression +
-# sharded ingest + streaming source + pipelined epoch export + multi-level
-# federation); `make bench-compare` re-measures compression throughput,
-# epoch-export turnaround, query selection, streaming ingest, federation
-# turnaround, WAL'd-ingest overhead, standing-view maintenance and the
-# network serving layer and fails on a regression against the checked-in
-# BENCH_compress.json / BENCH_epoch.json / BENCH_query.json /
-# BENCH_stream.json / BENCH_fed.json / BENCH_durable.json /
-# BENCH_subscribe.json / BENCH_serve.json baselines (wall-clock
-# experiments get the wider tolerance; the compress and stream gates also
-# hold allocs/op and bytes/op flat, and the subscribe gate hard-fails below
-# 10x over polling). `make fuzz-smoke` gives the record, tree-wire,
-# tree-delta, disk-segment and FlowQL-statement decoders a short
-# corpus-guided fuzz run; `make cover` writes cover.out and prints
-# per-package and total statement coverage.
+# additionally runs the packages with real concurrency under the race
+# detector. `make bench` is the one yardstick: the pipeline benchmark in
+# bench/ (declared in BENCHMARK.json; bench/README.md says how to read and
+# compare its numbers), every workload or just W=<name>. `make bench-all`
+# runs every Go benchmark once: the paper's tables and figures, the
+# per-package micro-benchmarks, and the three within-run ratio floors that
+# fail their benchmark when broken — standing views >= 10x polling
+# (BenchmarkSubscribe), WAL'd ingest >= 0.8x in-memory (BenchmarkWALIngest),
+# streaming >= 0.9x pre-materialized batches (BenchmarkFlowSource). `make
+# fuzz-smoke` gives the record, tree-wire, tree-delta, disk-segment and
+# FlowQL-statement decoders a short corpus-guided fuzz run; `make cover`
+# writes cover.out and prints per-package and total statement coverage.
 
 GO ?= go
 
-.PHONY: all build vet test test-race bench bench-all bench-baseline bench-compare check cover fuzz-smoke
+.PHONY: all build vet test test-race bench bench-all check cover fuzz-smoke
 
 all: check
 
@@ -50,63 +45,16 @@ test-race:
 		./internal/flowtree/ ./internal/primitive/ \
 		./internal/hierarchy/ ./internal/federation/ ./internal/uplink/ .
 
-# Hot-path benchmarks: the sort-based bulk fold vs its heap baseline, bulk
-# ingest, structural clone, full-frame and delta decode, the streaming source vs the pre-materialized
-# batch path (asserts the >=0.9x envelope), the sharded data-store ingest
-# sweep, the serial-vs-pipelined epoch export grid, and the segmented FlowDB
-# select/FlowQL grids (cold, memoized, and flat-scan baseline) plus the
-# standing-view maintenance path vs cold-Select polling.
+# The pipeline benchmark, seed 1, one result-JSON line per workload. Each
+# run also checks conservation, byte-equal answers and replay == real run,
+# and exits non-zero without metrics when one fails.
+W ?= ingest_line_rate query_warm query_cold live_mixed fleet_epochs
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkCompress|BenchmarkAddBatch|BenchmarkClone|BenchmarkDecode' \
-		-benchtime 1x ./internal/flowtree/
-	$(GO) test -run '^$$' -bench 'BenchmarkFlowSource|BenchmarkRecordCodec' \
-		-benchtime 1x ./internal/flowsource/
-	$(GO) test -run '^$$' -bench 'BenchmarkFlowDBSelect|BenchmarkFlowDBInsertBatch|BenchmarkSubscribe|BenchmarkMemoKey' \
-		-benchtime 1x ./internal/flowdb/
-	$(GO) test -run '^$$' -bench 'BenchmarkFlowQL' -benchtime 1x ./internal/flowql/
-	$(GO) test -run '^$$' -bench 'BenchmarkFederation' -benchtime 1x ./internal/federation/
-	$(GO) test -run '^$$' -bench 'BenchmarkIngestSharded|BenchmarkEndEpoch' -benchtime 1x .
+	for w in $(W); do $(GO) run ./bench -workload $$w -seed 1 || exit 1; done
 
-# Every benchmark in the repo (paper tables and figures included).
+# Every Go benchmark in the repo, one iteration each.
 bench-all:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-
-# Refresh the perf baselines (run on the reference host).
-bench-baseline:
-	$(GO) run ./cmd/benchreport -exp compress -out BENCH_compress.json
-	$(GO) run ./cmd/benchreport -exp epoch -out BENCH_epoch.json
-	$(GO) run ./cmd/benchreport -exp query -out BENCH_query.json
-	$(GO) run ./cmd/benchreport -exp stream -out BENCH_stream.json
-	$(GO) run ./cmd/benchreport -exp fed -out BENCH_fed.json
-	$(GO) run ./cmd/benchreport -exp durable -out BENCH_durable.json
-	$(GO) run ./cmd/benchreport -exp subscribe -out BENCH_subscribe.json
-	$(GO) run ./cmd/benchreport -exp serve -out BENCH_serve.json
-
-# Guard the perf trajectory: fail when compression throughput, pipelined
-# epoch-export turnaround, segmented-select query throughput, streaming
-# ingest throughput, federation epoch turnaround or WAL'd ingest throughput
-# drops below the checked-in baselines (10% for the CPU-bound fold, 30% for
-# the wall-clock paced export/federation and the scheduler- and
-# fsync-sensitive query/stream/durable paths), or when the measured
-# configurations drift from the baseline (the benchreport binary exits 2
-# for drift, which CI treats as a hard failure even where regressions are
-# only warnings). The durable experiment additionally hard-fails whenever
-# WAL'd ingest falls below 0.8x of the in-memory path, baseline or not, and
-# the subscribe experiment hard-fails whenever incremental standing views
-# fall below 10x of cold-Select polling at 8 views — that within-run ratio
-# is the primary gate, so its baseline compare runs at a wider tolerance
-# meant to catch collapse rather than runner jitter. The serve experiment
-# likewise hard-fails whenever loopback-socket ingest falls below 25% of
-# in-process ingest within the same run.
-bench-compare:
-	$(GO) run ./cmd/benchreport -exp compress -compare BENCH_compress.json
-	$(GO) run ./cmd/benchreport -exp epoch -compare BENCH_epoch.json -tol 0.30
-	$(GO) run ./cmd/benchreport -exp query -compare BENCH_query.json -tol 0.30
-	$(GO) run ./cmd/benchreport -exp stream -compare BENCH_stream.json -tol 0.30
-	$(GO) run ./cmd/benchreport -exp fed -compare BENCH_fed.json -tol 0.30
-	$(GO) run ./cmd/benchreport -exp durable -compare BENCH_durable.json -tol 0.30
-	$(GO) run ./cmd/benchreport -exp subscribe -compare BENCH_subscribe.json -tol 0.50
-	$(GO) run ./cmd/benchreport -exp serve -compare BENCH_serve.json -tol 0.50
 
 # Short corpus-guided fuzz runs of the attacker-facing wire decoders: the
 # flowsource record/frame codec, the Flowtree wire (v1/v2) decoder, the

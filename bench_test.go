@@ -1,5 +1,5 @@
 // Package megadata's root benchmarks regenerate the measurable shape of
-// every table and figure in the paper (see DESIGN.md §3 for the index):
+// every table and figure in the paper:
 //
 //	BenchmarkTable2_*              Table II  operator costs
 //	BenchmarkFig1_HierarchyRollup  Fig. 1    per-level rollup (E10/E5)
@@ -9,7 +9,7 @@
 //	BenchmarkFig5_FlowstreamPipeline Fig. 5  end-to-end ingest (E2)
 //	BenchmarkFig6_Replication*     Fig. 6    replication policies (E3)
 //	BenchmarkSec5_SamplingAdapt    §V-B      toy primitive (E7)
-//	BenchmarkAblation_*            DESIGN.md ablations
+//	BenchmarkAblation_*            design-choice ablations
 package megadata
 
 import (
@@ -20,6 +20,7 @@ import (
 	"megadata/internal/controller"
 	"megadata/internal/datastore"
 	"megadata/internal/flow"
+	"megadata/internal/flowstream"
 	"megadata/internal/flowtree"
 	"megadata/internal/hierarchy"
 	"megadata/internal/primitive"
@@ -315,8 +316,43 @@ func BenchmarkFig4_StorageStrategies(b *testing.B) {
 
 // --- Fig. 5 / E2: end-to-end Flowstream pipeline ---
 
+// BenchmarkFig5_FlowstreamPipeline measures the Figure 5 path: ingest at
+// every site, seal the epoch, export to the center, and answer one FlowQL
+// query.
 func BenchmarkFig5_FlowstreamPipeline(b *testing.B) {
-	benchFlowstream(b, 2, 5000)
+	const flowsPerSite = 5000
+	names := []string{"site0", "site1"}
+	gens := make([]*workload.FlowGen, len(names))
+	for i := range gens {
+		g, err := workload.NewFlowGen(workload.FlowConfig{Seed: int64(i + 1), Skew: 1.2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		gens[i] = g
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		sys, err := flowstream.New(flowstream.Config{
+			Sites: names, TreeBudget: 4096, Epoch: time.Minute,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for s, site := range names {
+			if err := sys.Ingest(site, gens[s].Records(flowsPerSite)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := sys.EndEpoch(); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sys.Query(`SELECT TOPK(10) FROM ALL`); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(names)*flowsPerSite), "flows/op")
 }
 
 // --- Sharded ingest: batched shard-partitioned ingest vs the serial path ---
@@ -326,9 +362,7 @@ func BenchmarkFig5_FlowstreamPipeline(b *testing.B) {
 // record per Ingest call through the single store mutex; the sharded runs
 // push the same trace through IngestFlowBatch, which partitions each batch
 // by flow-key hash across independently locked shards filled by parallel
-// workers, with Flowtree compression deferred to batch boundaries. Epoch
-// sealing fans the shards back together; `go run ./cmd/benchreport -exp
-// ingest` prices that merge alongside these numbers.
+// workers, with Flowtree compression deferred to batch boundaries.
 //
 // Shard workers run one goroutine per shard, so the speedup over serial
 // scales with GOMAXPROCS; on a single-core host only the batch
@@ -398,10 +432,6 @@ func BenchmarkIngestSharded(b *testing.B) {
 			b.ReportMetric(float64(nRecords*b.N)/b.Elapsed().Seconds(), "flows/s")
 		})
 	}
-	// Seal cost grows with shard count (merge fan-in); `go run
-	// ./cmd/benchreport -exp ingest` prices it alongside these numbers
-	// (a per-op testing.B seal benchmark would re-ingest the whole trace
-	// untimed on every iteration, so it lives there instead).
 }
 
 // --- Fig. 6 / E3: replication policies over the enterprise trace ---
@@ -454,7 +484,7 @@ func BenchmarkSec5_SamplingAdapt(b *testing.B) {
 	}
 }
 
-// --- Ablations called out in DESIGN.md §5 ---
+// --- Ablations ---
 
 // BenchmarkAblation_CompressPolicy compares compress targets: folding to
 // 100% of budget (thrashes), 75% (default) and 50% (coarser but rare).

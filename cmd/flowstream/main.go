@@ -34,8 +34,8 @@
 //
 // Run WAL'd ingest with GOMAXPROCS >= 2: on a single proc every fsync
 // strands the scheduler in the syscall and its full latency lands on the
-// ingest critical path, where a second proc lets it overlap (see the
-// benchreport durable experiment).
+// ingest critical path, where a second proc lets it overlap (see
+// BenchmarkWALIngest in internal/flowstream).
 package main
 
 import (

@@ -110,3 +110,44 @@ func TestDecodeAllocations(t *testing.T) {
 		t.Errorf("DecodeDelta of a low-churn v3 frame: %.0f allocs, want <= 8", got)
 	}
 }
+
+// allocTestTree is the >= 100k-node tree the Clone and CompressTo allocation
+// gates measure (122k nodes).
+func allocTestTree(t *testing.T) *Tree {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("single-goroutine allocation count; the race build only makes the setup several times slower")
+	}
+	full := buildSkewedTree(t, 40000, 1.2)
+	if full.Len() < 100000 {
+		t.Fatalf("tree has %d nodes, want >= 100000", full.Len())
+	}
+	return full
+}
+
+// TestCloneAllocations pins the structural copy at three allocations — the
+// tree, the node slab and the child-index backing — whatever the node
+// count; every shard seal, memo fill and export takes this path.
+func TestCloneAllocations(t *testing.T) {
+	full := allocTestTree(t)
+	if got := testing.AllocsPerRun(3, func() { _ = full.Clone() }); got != 3 {
+		t.Errorf("Clone of a %d-node tree: %.0f allocs, want 3", full.Len(), got)
+	}
+}
+
+// TestCompressAllocations holds the bulk fold to a few dozen allocations:
+// folding the tree down to a 4096-node budget allocates scratch arrays
+// (grown by doubling, so 34 allocations here, 37 at 269k nodes, 41 at 585k)
+// and the compact rebuild, never per node or per fold.
+func TestCompressAllocations(t *testing.T) {
+	full := allocTestTree(t)
+	// AllocsPerRun calls the function once to warm up and once to measure,
+	// and CompressTo consumes its tree: one clone per call.
+	clones := []*Tree{full.Clone(), full.Clone()}
+	if got := testing.AllocsPerRun(1, func() {
+		clones[0].CompressTo(4096)
+		clones = clones[1:]
+	}); got > 41 {
+		t.Errorf("CompressTo(4096) of a %d-node tree: %.0f allocs, want <= 41", full.Len(), got)
+	}
+}

@@ -99,9 +99,6 @@ type Network struct {
 	links map[[2]SiteID]Link
 	stats map[[2]SiteID]*TransferStats
 	total TransferStats
-	// pace scales transfer durations into real wall-clock occupancy
-	// (SetRealtime); 0 keeps transfers instantaneous.
-	pace float64
 }
 
 // NewNetwork builds an empty network.
@@ -170,26 +167,9 @@ func (n *Network) TransferTime(a, b SiteID, bytes uint64) (time.Duration, error)
 	return link.duration(bytes), nil
 }
 
-// SetRealtime makes transfers occupy real wall-clock time: every Transfer
-// blocks for its computed duration multiplied by scale before returning
-// (scale 0 restores instantaneous accounting-only transfers). This models
-// what a constrained WAN link actually costs a serial exporter — time —
-// and is what pipelined exporters overlap; benchmarks use it to measure
-// epoch turnaround instead of just counting bytes.
-func (n *Network) SetRealtime(scale float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if scale < 0 {
-		scale = 0
-	}
-	n.pace = scale
-}
-
 // Transfer meters a transfer of bytes from a to b and returns its duration.
 // With Link.FailEvery set, every FailEvery-th attempt fails with
-// ErrTransient and meters nothing but the failed attempt. With SetRealtime
-// pacing, the call additionally sleeps for the scaled duration, simulating
-// link occupancy.
+// ErrTransient and meters nothing but the failed attempt.
 func (n *Network) Transfer(a, b SiteID, bytes uint64) (time.Duration, error) {
 	if a == b {
 		return 0, nil
@@ -221,11 +201,7 @@ func (n *Network) Transfer(a, b SiteID, bytes uint64) (time.Duration, error) {
 	n.total.Transfers++
 	n.total.Bytes += bytes
 	n.total.Time += d
-	pace := n.pace
 	n.mu.Unlock()
-	if pace > 0 {
-		time.Sleep(time.Duration(float64(d) * pace))
-	}
 	return d, nil
 }
 

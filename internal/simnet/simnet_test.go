@@ -191,29 +191,3 @@ func TestFailEveryInjectsTransientFailures(t *testing.T) {
 		t.Errorf("total = %+v", total)
 	}
 }
-
-func TestSetRealtimePacesTransfers(t *testing.T) {
-	n := NewNetwork()
-	n.AddSite("a")
-	n.AddSite("b")
-	if err := n.Connect("a", "b", Link{BytesPerSecond: 1e6, Latency: 20 * time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
-	n.SetRealtime(1.0)
-	start := time.Now()
-	d, err := n.Transfer("a", "b", 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < d/2 {
-		t.Errorf("paced transfer returned after %v, computed duration %v", elapsed, d)
-	}
-	n.SetRealtime(0)
-	start = time.Now()
-	if _, err := n.Transfer("a", "b", 1000); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Millisecond {
-		t.Errorf("unpaced transfer took %v", elapsed)
-	}
-}

@@ -1,7 +1,7 @@
 // Package workload generates the synthetic inputs that substitute for the
-// paper's proprietary data sources (see DESIGN.md "Substitutions"): sampled
-// router flow exports, smart-factory sensor streams, and the enterprise
-// query trace used to evaluate adaptive replication.
+// paper's proprietary data sources: sampled router flow exports,
+// smart-factory sensor streams, and the enterprise query trace used to
+// evaluate adaptive replication.
 package workload
 
 import (

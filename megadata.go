@@ -56,8 +56,31 @@
 //	_ = sys.EndEpoch()
 //	res, err := sys.Query(`SELECT HHH(0.05) FROM ALL`)
 //
-// See examples/ for runnable programs and DESIGN.md for the paper-to-code
-// map.
+// # Table I: challenges and where they are addressed
+//
+// The paper's nine challenges, the mechanism that answers each, and the
+// module implementing it:
+//
+//  1. Increasing computation requirements: aggregate at the source with
+//     budgeted primitives (internal/primitive, internal/flowtree).
+//  2. Many devices producing streams: per-stream subscriptions into shared
+//     data stores (internal/datastore, Store.Subscribe).
+//  3. Massive combined data rates: summaries capped by node and byte
+//     budgets before export (internal/flowtree, Tree.Compress).
+//  4. Rapid local decision making: triggers fire the local controller on
+//     the ingest path (internal/datastore triggers, internal/controller).
+//  5. High data variability: one Aggregator interface, five summary kinds
+//     (internal/primitive).
+//  6. Analytics require full knowledge: mergeable summaries roll up to
+//     global views (internal/hierarchy, Hierarchy.Rollup; internal/flowdb).
+//  7. Hierarchical structure: site trees over a metered WAN
+//     (internal/hierarchy, internal/simnet).
+//  8. Varying requirements across applications: the manager splits budgets
+//     by application weights (internal/manager, Manager.Require and Apply).
+//  9. A priori unknown queries: generic summaries plus FlowQL over stored
+//     epochs (internal/flowql; internal/datastore, Store.Query).
+//
+// See examples/ for runnable programs.
 package megadata
 
 // Version is the library version.
