@@ -4,10 +4,11 @@
 # bench/ (declared in BENCHMARK.json; bench/README.md says how to read and
 # compare its numbers), every workload or just W=<name>. `make bench-all`
 # runs every Go benchmark once: the paper's tables and figures, the
-# per-package micro-benchmarks, and the three within-run ratio floors that
+# per-package micro-benchmarks, and the four within-run ratio floors that
 # fail their benchmark when broken — standing views >= 10x polling
 # (BenchmarkSubscribe), WAL'd ingest >= 0.8x in-memory (BenchmarkWALIngest),
-# streaming >= 0.9x pre-materialized batches (BenchmarkFlowSource). `make
+# streaming >= 0.9x pre-materialized batches (BenchmarkFlowSource), Flowtree
+# AddBatch >= 2x per-record Add (BenchmarkAddBatch). `make
 # fuzz-smoke` gives the record, tree-wire, tree-delta, disk-segment and
 # FlowQL-statement decoders a short corpus-guided fuzz run; `make cover`
 # writes cover.out and prints per-package and total statement coverage.

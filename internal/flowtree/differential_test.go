@@ -113,6 +113,79 @@ func assertLoaded(t *testing.T, ctx string, dec *Tree, senderV2 []byte) {
 	}
 }
 
+// Where a batch's fold happens, by what it does to the tree: not at all
+// through the pooled lay-out (unbudgeted, or too small to cross the budget
+// whatever its records are), through it without a fold, with the majority
+// fold in the lay-out, or with the minority fold CompressTo runs on the
+// adopted tree.
+const (
+	batchInPlace = iota
+	batchFits
+	batchMajority
+	batchMinority
+	batchClasses
+)
+
+// batchClass predicts which of them AddBatch(recs) is for the pair, from
+// the reference tree alone.
+func (p *diffPair) batchClass(recs []flow.Record) int {
+	budget, live := p.a.Budget(), p.r.len()
+	if budget == 0 || live+len(recs)*p.r.chainDepth() <= budget {
+		return batchInPlace
+	}
+	grown := p.r.clone()
+	grown.budget = 0
+	grown.addBatch(recs)
+	peak := grown.len()
+	target := max(int(float64(budget)*p.r.compressTarget), 1)
+	switch {
+	case peak <= budget:
+		return batchFits
+	case 2*(peak-target) >= peak:
+		return batchMajority
+	default:
+		return batchMinority
+	}
+}
+
+// straddlingBatch draws a batch size around one of the decisions AddBatch
+// takes on tr: whether the batch can cross the budget at all
+// (live + n*chainDepth against budget), which fold it gets (twice the fold
+// against the peak, at two to five new nodes a record), or far past both.
+func straddlingBatch(rng *rand.Rand, tr *Tree) int {
+	budget, live := tr.Budget(), tr.Len()
+	if budget == 0 {
+		return 1 + rng.Intn(300)
+	}
+	switch rng.Intn(3) {
+	case 0:
+		return max(1, (budget-live)/tr.chainDepth()+rng.Intn(5)-2)
+	case 1:
+		return max(1, (2*tr.restTarget()-live)/(2+rng.Intn(4))+rng.Intn(9)-4)
+	default:
+		return budget + rng.Intn(budget)
+	}
+}
+
+// assertAtRest pins what a batch through the pooled lay-out leaves behind:
+// an exact-fit slab, the key index deferred, no fold scratch, and — unless
+// CompressTo's sequential fold ran on it (minority) — no free slots.
+func assertAtRest(t *testing.T, ctx string, tr *Tree, minority bool) {
+	t.Helper()
+	if cap(tr.slab) != len(tr.slab) {
+		t.Fatalf("%s: slab len %d cap %d: not exact-fit", ctx, len(tr.slab), cap(tr.slab))
+	}
+	if !minority && (len(tr.free) != 0 || len(tr.slab) != tr.Len()) {
+		t.Fatalf("%s: %d slots for %d nodes, %d free", ctx, len(tr.slab), tr.Len(), len(tr.free))
+	}
+	if tr.nodes != nil {
+		t.Fatalf("%s: batch materialized the key index", ctx)
+	}
+	if tr.fold != nil {
+		t.Fatalf("%s: tree kept %d fold candidates of scratch", ctx, cap(tr.fold))
+	}
+}
+
 // genRecords returns deterministic skewed records for a sequence step.
 func diffRecords(t *testing.T, seed int64, n int) []flow.Record {
 	t.Helper()
@@ -138,7 +211,8 @@ func generalize(key flow.Key, steps int, stepBits uint8) flow.Key {
 // TestDifferentialOpSequences drives randomized op sequences through both
 // implementations: Add, AddBatch, AddCounters at generalized keys, Merge,
 // MergeAll, Diff, CompressTo, Clone, SetBudget, full encode/decode
-// replacement, and v3 delta frames against snapshotted bases. Every decode
+// replacement, v3 delta frames against snapshotted bases, and batches sized
+// to straddle the decisions AddBatch takes on a budgeted tree. Every decode
 // is followed by one mutation from a rotating list, so each mutator meets a
 // freshly bulk-loaded slab (exact-fit, index deferred, cache primed) and
 // not only one that ingest grew. Several seeds × budgets, exact equality
@@ -163,6 +237,7 @@ func TestDifferentialOpSequences(t *testing.T) {
 	if testing.Short() {
 		ops = 40
 	}
+	var batchesSeen [batchClasses]int
 	for _, cfg := range configs {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", cfg.name, seed), func(t *testing.T) {
@@ -173,11 +248,12 @@ func TestDifferentialOpSequences(t *testing.T) {
 				var baseA *Tree
 				var baseRE []Entry
 				// after is the op forced right after a decode: Add, AddBatch,
-				// Merge, CompressTo, SetBudget, Diff, Clone in turn.
-				mutators := []int{0, 1, 3, 5, 7, 4, 6}
+				// Merge, CompressTo, SetBudget, Diff, Clone, straddling batch
+				// in turn.
+				mutators := []int{0, 1, 3, 5, 7, 4, 6, 10}
 				after, decodes := -1, 0
 				for op := 0; op < ops; op++ {
-					kind := rng.Intn(10)
+					kind := rng.Intn(11)
 					if after >= 0 {
 						kind, after = after, -1
 					}
@@ -312,10 +388,56 @@ func TestDifferentialOpSequences(t *testing.T) {
 						}
 						after = mutators[decodes%len(mutators)]
 						decodes++
+					case 10: // batch straddling the pooled path's decisions
+						// A third land on a tree exactly as Clone, Decode or
+						// DecodeDelta leave it — assertEqual materialized the
+						// index of the one the sequence carries.
+						budget := p.a.Budget()
+						switch src := rng.Intn(6); {
+						case src == 0:
+							p.a = p.a.Clone()
+						case src == 1 || src == 2 && baseA == nil:
+							dec, err := Decode(p.a.AppendBinary(nil), budget, WithScore(p.a.score))
+							if err != nil {
+								t.Fatalf("%s: decode: %v", ctx, err)
+							}
+							p.a, p.r = dec, refFromEntries(p.r.entries(), budget, dec.stepBits, dec.score)
+						case src == 2:
+							delta, err := p.a.AppendDelta(nil, baseA)
+							if err != nil {
+								t.Fatal(err)
+							}
+							dec, err := DecodeDelta(delta, baseA, budget, WithScore(p.a.score))
+							if err != nil {
+								t.Fatalf("%s: delta apply: %v", ctx, err)
+							}
+							p.a, p.r = dec, refFromEntries(p.r.entries(), budget, dec.stepBits, dec.score)
+						}
+						if budget > 0 && rng.Intn(4) == 0 { // budget moved since the last batch
+							b := 32 + rng.Intn(2*budget)
+							if err := p.a.SetBudget(b); err != nil {
+								t.Fatal(err)
+							}
+							p.r.budget = b
+							p.r.maybeCompress()
+						}
+						recs := diffRecords(t, rng.Int63n(1000), straddlingBatch(rng, p.a))
+						class := p.batchClass(recs)
+						batchesSeen[class]++
+						p.a.AddBatch(recs)
+						p.r.addBatch(recs)
+						if class != batchInPlace {
+							assertAtRest(t, ctx, p.a, class == batchMinority)
+						}
 					}
 					p.assertEqual(t, ctx)
 				}
 			})
+		}
+	}
+	for class, n := range batchesSeen {
+		if n == 0 && !testing.Short() {
+			t.Errorf("no batch of class %d (in place, fits, majority, minority) was drawn", class)
 		}
 	}
 }

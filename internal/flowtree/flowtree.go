@@ -30,11 +30,13 @@
 //   - slab[0] is the root; it is never folded, freed or re-parented.
 //   - A slot is live iff its depth is >= 0; the live count is tracked
 //     (Len), and the live slots are exactly the values of the key index —
-//     which is itself deferred after Clone and after a wire decode and
-//     materialized from the slab on first need, so read-only snapshot
-//     clones and received summaries never build it. Materializing is a
+//     which is itself deferred in a new tree, after Clone, after a wire
+//     decode and after a budgeted batch, and materialized from the slab on
+//     first need, so read-only snapshot clones, received summaries and
+//     trees fed only by batches never build it. Materializing is a
 //     write, as is filling a cold entry cache: a tree shared between
-//     readers (a FlowDB row that is also a hop's delta base) must only see
+//     readers (a FlowDB row that is also a hop's delta base, a sealed epoch
+//     that is the shard's own tree) must only see
 //     the operations that need neither — being a Merge/MergeAll/Diff
 //     source, Query, TopK, AboveX, HHH, Clone and, on a primed cache (as a
 //     decode leaves it), Entries, the encoders and DeltaHash.
@@ -54,6 +56,12 @@
 //     off the wire. Nothing a receiver retains is slack. The decoders
 //     accept canonical streams only — weighted entries, normalized keys,
 //     strictly ascending — so that list is the tree's, as is.
+//   - A budgeted tree at rest after an AddBatch that could cross its budget
+//     is in the same state, minus the primed cache: exact-fit slab, shared
+//     child backing, deferred key index, no fold scratch. (Free slots only
+//     where the batch ended in a minority fold, fewer than the live nodes.)
+//     A one-shard store seals that very tree as the epoch, so whatever it
+//     kept beyond its nodes would be retained once per epoch.
 //
 // Because slab indices survive append-growth where interior pointers would
 // not, mutation code holds indices across allocations and only materializes
@@ -78,6 +86,14 @@
 // chain per record, then the budget is enforced once. The decoders always
 // do: a loaded slab has parents before children, so its aggregates are one
 // reverse sweep.
+//
+// A budgeted tree overshoots its budget while a batch lands and folds back
+// under it; that overshoot never lives in the tree. The wire loader's
+// pooled lay-out (load.go: a pointer-free node list and an open-addressing
+// key table) takes the tree's nodes and the batch's, the fold runs there,
+// and the tree adopts the survivors exact-fit (batch.go). The slab grows in
+// place only for unbudgeted trees, for batches too small to cross the
+// budget, and for per-record calls.
 //
 // The sorted entry list the wire codecs encode against (Entries,
 // AppendBinary, SizeBytes, DeltaHash) is cached and invalidated on
@@ -132,8 +148,10 @@ const freeDepth int32 = -1
 const rootIdx int32 = 0
 
 // node is one generalized flow in the slab. children is nil until the node
-// gets its first child: most nodes are leaves, and not allocating their
-// (empty) child arrays keeps the ingest path allocation-flat.
+// gets its first child: most nodes are leaves. Only a slab grown in place
+// gives an interior node an array of its own; bulk-loaded and batch-folded
+// slabs window all of them out of one backing array (linkChildren), which
+// keeps the ingest path allocation-flat.
 type node struct {
 	key      flow.Key
 	own      flow.Counters // weight attributed directly to this key
@@ -168,9 +186,10 @@ type Tree struct {
 	entries   []Entry
 	entriesOK bool
 
-	// Scratch buffers reused across hot-path calls (the tree is
+	// Scratch buffers reused across per-record calls (the tree is
 	// single-goroutine, so plain fields suffice): the compression fold
-	// slice and ensure's missing-ancestor chain.
+	// slice and ensure's missing-ancestor chain. A batch through the pooled
+	// lay-out leaves fold nil.
 	fold  []foldItem
 	chain []flow.Key
 }
@@ -181,20 +200,17 @@ func New(budget int, opts ...Option) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Budgeted trees fill to their budget (plus a transient overshoot
-	// between batch compressions); pre-sizing the slab and the node index
-	// avoids incremental growth churn on the way up.
+	// A budgeted tree starts as the root alone: its first batch is written
+	// back exact-fit (AddBatch), which would make anything pre-sized here
+	// garbage — once per shard per epoch and per fleet leaf per round. The
+	// key index is deferred either way; the first per-record use
+	// materializes it.
 	hint := 16
 	if budget > 0 {
-		hint = budget
-		if hint > 1<<16 {
-			hint = 1 << 16
-		}
+		hint = 1
 	}
 	t.slab = make([]node, 1, hint)
 	t.slab[rootIdx] = node{key: flow.Root(), parent: noNode}
-	t.nodes = make(map[flow.Key]int32, hint)
-	t.nodes[t.slab[rootIdx].key] = rootIdx
 	t.live = 1
 	return t, nil
 }
@@ -259,18 +275,27 @@ func (t *Tree) Add(rec flow.Record) {
 // under it.
 //
 // Compression runs once per batch instead of on every insert that crosses
-// the budget, and aggregate propagation is deferred when profitable: records
-// land as own weights only and the aggregate annotations are rebuilt with a
-// single bottom-up recomputeAgg pass — O(nodes) instead of
-// O(records × chain depth). The resulting state is exactly what serial
-// insertion would produce up to compression timing, which moves to batch
-// boundaries.
+// the budget, and aggregates are rebuilt once instead of per record. The
+// resulting state is exactly what serial insertion would produce up to
+// compression timing, which moves to batch boundaries.
+//
+// A batch that can cross the budget — even if every record brought a whole
+// chain of new nodes — never grows the tree itself: the overshoot is laid
+// out, folded and handed back in pooled scratch (addBatchPooled), and the
+// tree comes to rest exact-fit. Unbudgeted trees and batches too small to
+// overshoot edit the slab in place, because copying a large tree out and
+// back per batch would cost O(tree), not O(batch).
 func (t *Tree) AddBatch(recs []flow.Record) {
 	if len(recs) == 0 {
 		return
 	}
 	t.dirty()
 	t.inserted += uint64(len(recs))
+	if t.budget > 0 && t.live+len(recs)*t.chainDepth() > t.budget {
+		t.addBatchPooled(recs)
+		return
+	}
+	// Below the budget for any input: nothing to compress afterwards.
 	if t.deferAgg(len(recs)) {
 		for _, r := range recs {
 			ni := t.ensure(r.Key)
@@ -282,7 +307,6 @@ func (t *Tree) AddBatch(recs []flow.Record) {
 			t.addCounters(r.Key, flow.CountersOf(r))
 		}
 	}
-	t.maybeCompress()
 }
 
 // chainDepth bounds the canonical generalization chain length of an exact
@@ -297,8 +321,8 @@ func (t *Tree) chainDepth() int {
 // per record. The two costs have different constants: an ancestor step is a
 // slab load plus three integer adds, while a rebuild step iterates a child
 // array — so deferral only wins when the record volume swamps the tree, as
-// it does for codec decodes, seal-time shard fan-ins and merges into small
-// trees.
+// it does for seal-time shard fan-ins, merges into small trees and large
+// batches into unbudgeted ones.
 func (t *Tree) deferAgg(n int) bool {
 	const rebuildCostFactor = 20
 	return n*t.chainDepth() >= rebuildCostFactor*t.live
@@ -431,9 +455,12 @@ func (t *Tree) Total() flow.Counters { return t.slab[rootIdx].agg }
 
 func (t *Tree) maybeCompress() {
 	if t.budget > 0 && t.live > t.budget {
-		t.CompressTo(int(float64(t.budget) * t.compressTarget))
+		t.CompressTo(t.restTarget())
 	}
 }
+
+// restTarget is the node count a budgeted tree compresses down to.
+func (t *Tree) restTarget() int { return int(float64(t.budget) * t.compressTarget) }
 
 // foldItem is one compression candidate: a slab index, its popularity score
 // and its depth at collection time. Folds never change aggregates, so
@@ -445,12 +472,19 @@ type foldItem struct {
 	depth int32
 }
 
+// foldKey resolves a fold candidate's index to its key: a slab offset for
+// CompressTo, an offset into the pooled lay-out for a batch fold.
+type foldKey func(idx int32) flow.Key
+
+func (t *Tree) slabKey(idx int32) flow.Key { return t.slab[idx].key }
+
 // cmpFold is the fold order: ascending score; equal scores order deeper
 // nodes first (so descendants always precede their ancestors — an
 // ancestor's aggregate is at least any descendant's) with remaining ties
-// broken by the deterministic key order, so compression does not depend on
-// collection order. Keys are unique, so the order is strict.
-func (t *Tree) cmpFold(a, b foldItem) int {
+// broken by the deterministic key order, so compression depends neither on
+// collection order nor on where a node sits in its slab or lay-out. Keys
+// are unique, so the order is strict.
+func cmpFold(a, b foldItem, key foldKey) int {
 	switch {
 	case a.s != b.s:
 		if a.s < b.s {
@@ -462,45 +496,47 @@ func (t *Tree) cmpFold(a, b foldItem) int {
 			return -1
 		}
 		return 1
-	case keyLess(t.slab[a.idx].key, t.slab[b.idx].key):
+	case keyLess(key(a.idx), key(b.idx)):
 		return -1
 	default:
 		return 1
 	}
 }
 
-func (t *Tree) sortFoldItems(items []foldItem) { slices.SortFunc(items, t.cmpFold) }
+func sortFoldItems(items []foldItem, key foldKey) {
+	slices.SortFunc(items, func(a, b foldItem) int { return cmpFold(a, b, key) })
+}
 
 // prepareFold arranges items so that the k smallest by fold order occupy
 // items[:k] in sorted order — the sequential delete fold needs descendants
 // folded before their ancestors. Folding a large fraction sorts
 // everything; otherwise a quickselect narrows to the prefix first, so the
-// frequent small compressions of a budgeted tree pay O(n + k log k)
-// instead of O(n log n).
-func (t *Tree) prepareFold(items []foldItem, k int) {
+// small compressions of a budgeted tree pay O(n + k log k) instead of
+// O(n log n).
+func prepareFold(items []foldItem, k int, key foldKey) {
 	if 4*k >= 3*len(items) {
-		t.sortFoldItems(items)
+		sortFoldItems(items, key)
 		return
 	}
-	t.quickselectFold(items, k)
-	t.sortFoldItems(items[:k])
+	quickselectFold(items, k, key)
+	sortFoldItems(items[:k], key)
 }
 
 // quickselectFold partitions items so the k smallest elements occupy
 // items[:k] in arbitrary order: Hoare partitioning with median-of-three
 // pivots, recursing (iteratively) into the side containing k. The fold
 // order is strict, so every partition makes progress.
-func (t *Tree) quickselectFold(items []foldItem, k int) {
+func quickselectFold(items []foldItem, k int, key foldKey) {
 	lo, hi := 0, len(items)
 	for hi-lo > 16 {
 		mid := lo + (hi-lo)/2
-		if t.cmpFold(items[mid], items[lo]) < 0 {
+		if cmpFold(items[mid], items[lo], key) < 0 {
 			items[mid], items[lo] = items[lo], items[mid]
 		}
-		if t.cmpFold(items[hi-1], items[lo]) < 0 {
+		if cmpFold(items[hi-1], items[lo], key) < 0 {
 			items[hi-1], items[lo] = items[lo], items[hi-1]
 		}
-		if t.cmpFold(items[hi-1], items[mid]) < 0 {
+		if cmpFold(items[hi-1], items[mid], key) < 0 {
 			items[hi-1], items[mid] = items[mid], items[hi-1]
 		}
 		pivot := items[mid]
@@ -508,13 +544,13 @@ func (t *Tree) quickselectFold(items []foldItem, k int) {
 		for {
 			for {
 				i++
-				if t.cmpFold(items[i], pivot) >= 0 {
+				if cmpFold(items[i], pivot, key) >= 0 {
 					break
 				}
 			}
 			for {
 				j--
-				if t.cmpFold(items[j], pivot) <= 0 {
+				if cmpFold(items[j], pivot, key) <= 0 {
 					break
 				}
 			}
@@ -530,7 +566,7 @@ func (t *Tree) quickselectFold(items []foldItem, k int) {
 			lo = j + 1
 		}
 	}
-	t.sortFoldItems(items[lo:hi])
+	sortFoldItems(items[lo:hi], key)
 }
 
 // collectFold sweeps the slab once and gathers every live non-root node as
@@ -584,7 +620,7 @@ func (t *Tree) CompressTo(target int) {
 	} else {
 		// The sequential fold needs items[:k] in fold order so that
 		// descendants fold (and push their weight) before ancestors.
-		t.prepareFold(items, k)
+		prepareFold(items, k, t.slabKey)
 		for _, it := range items[:k] {
 			n := &t.slab[it.idx]
 			// Under the monotone-score contract n is always a leaf by the
@@ -602,9 +638,10 @@ func (t *Tree) CompressTo(target int) {
 			t.live--
 		}
 	}
-	// Drop the scratch when a one-shot bulk fold left it drastically
-	// oversized for the surviving tree (items are pointer-free, so a
-	// retained backing array pins no nodes).
+	// Drop the scratch when a bulk fold left it drastically oversized for
+	// the surviving tree — a seal-time shard fan-in, a clone compressed to a
+	// coarser budget; a batch folds in pooled scratch and is not among
+	// them. (Items are pointer-free, so a kept backing array pins no nodes.)
 	if cap(items) > 4*t.live {
 		items = nil
 	}
@@ -626,7 +663,7 @@ func (t *Tree) CompressTo(target int) {
 // free list resets: every dead slot's memory is handed back with the old
 // slab.
 func (t *Tree) compressRebuild(items []foldItem, k, target int) {
-	t.quickselectFold(items, k)
+	quickselectFold(items, k, t.slabKey)
 	// Mark the folded prefix (the nodes are discarded, their depth is free
 	// as a marker), then push every folded node's own weight directly to
 	// its nearest surviving ancestor. With a monotone score that ancestor
@@ -672,9 +709,9 @@ func (t *Tree) compressRebuild(items []foldItem, k, target int) {
 	linkChildren(next)
 	// Refill the index. Clearing retains its storage; only a drastically
 	// oversized index is dropped for a right-sized one, so one-shot bulk
-	// folds (decode, seal fan-in) hand the memory back while the steady
-	// state stays allocation-free. A deferred index stays deferred — the
-	// compact slab is exactly what index() would sweep.
+	// folds (seal fan-in) hand the memory back while per-record ingest
+	// reuses it. A deferred index stays deferred — the compact slab is
+	// exactly what index() would sweep.
 	switch {
 	case t.nodes == nil:
 	case 4*target >= t.live:
@@ -746,7 +783,7 @@ func (t *Tree) compressCascade(target int) {
 	}
 	var next []foldItem
 	for t.live > target && len(round) > 0 {
-		t.sortFoldItems(round)
+		sortFoldItems(round, t.slabKey)
 		next = next[:0]
 		for _, it := range round {
 			if t.live <= target {
@@ -773,7 +810,7 @@ func (t *Tree) compressCascade(target int) {
 // unlimited).
 func (t *Tree) Compress() {
 	if t.budget > 0 {
-		t.CompressTo(int(float64(t.budget) * t.compressTarget))
+		t.CompressTo(t.restTarget())
 	}
 }
 
